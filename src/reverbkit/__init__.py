@@ -8,16 +8,16 @@ analysis on synthetic rooms with known ground truth.
 """
 
 from .convolve import ConvGrad, convolve_direct, convolve_fft, convolve_grad
-from .dsp import (AMPLITUDE_FLOOR, LasFrames, MelFrames, StftConfig, Waveform,
-                  fft, las, log_amplitude, mel_spectrogram, stft)
+from .dsp import (AMPLITUDE_FLOOR, LasFrames, StftConfig, Waveform, fft, las,
+                  log_amplitude, stft)
 from .estimator import (UtvEstimatorParams, estimator_backward,
                         estimator_forward, gru_forward, temporal_avg_pool)
 from .fileio import (FormatError, load_checkpoint, read_rir, read_wav,
                      save_checkpoint, write_rir, write_wav)
-from .losses import (MrsdConfig, mrsd_loss, multitask_loss, secondary_dry_loss,
+from .losses import (MrsdConfig, mrsd_loss, secondary_dry_loss,
                      waveform_mse_loss)
 from .optim import AdamState, adam_step, grad_check
-from .rir import (EnergyDecayCurve, GtiRir, Rir, RoomSpec, assemble, edc,
+from .rir import (EnergyDecayCurve, Rir, RoomSpec, assemble, edc,
                   estimate_t60, synth_rir, t60_error_stats)
 from .simdata import (DatasetManifest, Utterance, build_dataset, gen_f0_track,
                       load_manifest, load_utterances)

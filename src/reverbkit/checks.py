@@ -137,12 +137,18 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(which="all"):
-    """Run one or all named checks; returns {name: report}."""
-    names = list(ALL_CHECKS) if which == "all" else [which]
-    results = {}
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise ValueError(f"unknown gradient check {name!r}")
-        results[name] = ALL_CHECKS[name]()
-    return results
+# Selectable groups of checks, by module.
+GROUPS = {
+    "all": list(ALL_CHECKS),
+    "gti": ["gti"],
+    "utv": ["utv", "utv_conv"],
+    "vocoder": ["vocoder"],
+    "losses": ["mrsd", "secondary"],
+}
+
+
+def run_checks(group="all"):
+    """Run the checks of one group; returns {name: report}."""
+    if group not in GROUPS:
+        raise ValueError(f"unknown gradient check group {group!r}")
+    return {name: ALL_CHECKS[name]() for name in GROUPS[group]}

@@ -11,18 +11,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checks, simdata
 from .convolve import convolve_fft
-from .dsp import Waveform, default_stft_config, las
-from .estimator import UtvEstimatorParams, estimator_forward
+from .dsp import default_stft_config, las
+from .estimator import UtvEstimatorParams
 from .fileio import (load_checkpoint, read_rir, read_wav, save_checkpoint,
                      write_rir, write_wav)
-from .losses import DESK_MRSD
-from .optim import AdamState
-from .rir import GtiRir, RoomSpec, estimate_t60, t60_error_stats
-from .training import TrainHyper, train_gti, train_mt, train_utv
+from .rir import RoomSpec, assemble, estimate_t60, t60_error_stats
+from .training import (TrainHyper, predict_rir_tail, train_gti, train_mt,
+                       train_utv)
 from .vocoder import ToyVocoderParams
 
 DEFAULTS = {
@@ -89,7 +86,7 @@ def _build_parser():
 
     s = sub.add_parser("gradcheck", help="verify every analytic gradient path")
     s.add_argument("--module", default="all",
-                   choices=["all", "gti", "utv", "vocoder", "losses"])
+                   choices=list(checks.GROUPS))
     return p
 
 
@@ -121,12 +118,6 @@ def _estimator_from_ckpt(ckpt):
     return UtvEstimatorParams.from_dict(ckpt, "utv.")
 
 
-def _predict_rir_tail(params, wave):
-    feats = las(wave).values
-    tail, _ = estimator_forward(params, feats)
-    return tail
-
-
 def _cmd_simulate(cfg):
     seen, unseen = _load_rooms(cfg.get("rooms"))
     manifest = simdata.build_dataset(seen, unseen, cfg["utts"], cfg["duration"],
@@ -153,7 +144,7 @@ def _cmd_train_gti(cfg):
     manifest, utts, out = _train_common(cfg)
     gti, adam, report = train_gti(utts, cfg["rir_len"], cfg["steps"],
                                   _hyper(cfg), seed=cfg["seed"])
-    write_rir(out / "gti.rir", gti.as_rir())
+    write_rir(out / "gti.rir", gti)
     save_checkpoint(out / "gti.ckpt",
                     {"gti.tail": gti.tail, **adam.state_dict()})
     report.write_jsonl(out / "train_gti_report.jsonl")
@@ -203,8 +194,8 @@ def _cmd_apply(cfg):
         coeffs = read_rir(cfg["rir"]).coefficients
     elif cfg.get("ckpt") and cfg.get("las_source"):
         params = _estimator_from_ckpt(load_checkpoint(cfg["ckpt"]))
-        tail = _predict_rir_tail(params, read_wav(cfg["las_source"]))
-        coeffs = np.concatenate(([1.0], tail))
+        tail = predict_rir_tail(params, las(read_wav(cfg["las_source"])).values)
+        coeffs = assemble(tail)
     else:
         print("apply needs --rir, or --ckpt with --las-source", file=sys.stderr)
         return 2
@@ -238,10 +229,9 @@ def _cmd_evaluate(cfg):
             est = fixed_t60
         else:
             wave = read_wav(manifest.root / e["reverb_path"])
-            tail = _predict_rir_tail(utv_params, wave)
+            tail = predict_rir_tail(utv_params, las(wave).values)
             try:
-                est = estimate_t60(np.concatenate(([1.0], tail)),
-                                   manifest.sample_rate)
+                est = estimate_t60(assemble(tail), manifest.sample_rate)
             except ValueError:
                 est = None
         rows.append((e["utt_id"], e["room_id"], e["t60_truth"], est))
@@ -275,18 +265,9 @@ def _cmd_evaluate(cfg):
 
 
 def _cmd_gradcheck(cfg):
-    module = cfg["module"]
-    names = {"all": ["gti", "utv", "utv_conv", "vocoder", "mrsd", "secondary"],
-             "gti": ["gti"], "utv": ["utv", "utv_conv"], "vocoder": ["vocoder"],
-             "losses": ["mrsd", "secondary"]}[module]
-    ok = True
-    out = {}
-    for name in names:
-        report = checks.ALL_CHECKS[name]()
-        out[name] = {"passed": report["passed"],
-                     "max_rel_error": report["max_rel_error"],
-                     "tolerance": report["tolerance"]}
-        ok = ok and report["passed"]
+    out = {name: {k: report[k] for k in ("passed", "max_rel_error", "tolerance")}
+           for name, report in checks.run_checks(cfg["module"]).items()}
+    ok = all(r["passed"] for r in out.values())
     print(json.dumps({"passed": ok, "checks": out}, indent=1))
     return 0 if ok else 1
 

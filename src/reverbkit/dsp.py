@@ -1,11 +1,11 @@
-"""Spectral primitives: FFT, STFT, log amplitude spectra, mel features.
+"""Spectral primitives: FFT, STFT and log amplitude spectra.
 
 Everything here is a pure function of its inputs and runs in double
 precision.  The FFT is an in-house vectorized radix-2 implementation so
 results are bit-for-bit reproducible across installations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -86,12 +86,6 @@ class LasFrames:
     config: StftConfig
 
 
-@dataclass
-class MelFrames:
-    values: np.ndarray
-    n_mel: int
-
-
 @lru_cache(maxsize=64)
 def _fft_plan(n):
     """Bit-reversal permutation and per-stage twiddle factors for size n."""
@@ -165,8 +159,12 @@ def frame_signal(samples, cfg):
 
 
 def stft(w, cfg):
-    """Windowed, zero-padded FFT per frame; returns [n_frames, fft_size] complex."""
-    frames = frame_signal(w.samples, cfg) * _window(cfg)
+    """Windowed, zero-padded FFT per frame of a Waveform or sample array.
+
+    Returns [n_frames, fft_size] complex.
+    """
+    samples = w.samples if isinstance(w, Waveform) else w
+    frames = frame_signal(samples, cfg) * _window(cfg)
     return fft(frames, cfg.fft_size)
 
 
@@ -181,36 +179,3 @@ def las(w, cfg=None):
     if cfg is None:
         cfg = default_stft_config(w.sample_rate)
     return log_amplitude(stft(w, cfg), cfg)
-
-
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(fft_size, n_mel, sample_rate):
-    """Triangular filters on the HTK mel scale, 0 Hz to Nyquist; [n_mel, n_bins]."""
-    n_bins = fft_size // 2 + 1
-    if n_mel > n_bins:
-        raise ValueError("more mel filters than spectral bins")
-    freqs = np.linspace(0.0, sample_rate / 2.0, n_bins)
-    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mel + 2)
-    hz_pts = mel_to_hz(mel_pts)
-    fb = np.zeros((n_mel, n_bins))
-    for m in range(n_mel):
-        lo, ctr, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
-        up = (freqs - lo) / max(ctr - lo, 1e-12)
-        down = (hi - freqs) / max(hi - ctr, 1e-12)
-        fb[m] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb
-
-
-def mel_spectrogram(w, cfg, n_mel):
-    """Floored log mel energies from magnitude spectra; [n_frames, n_mel]."""
-    fb = mel_filterbank(cfg.fft_size, n_mel, w.sample_rate)
-    mag = np.abs(stft(w, cfg)[:, : cfg.n_bins])
-    mel = mag @ fb.T
-    return MelFrames(np.log(np.maximum(mel, AMPLITUDE_FLOOR)), n_mel)

@@ -82,17 +82,6 @@ class UtvEstimatorParams:
             out_b=np.zeros(tail_len),
         )
 
-    def zeros_like(self):
-        return UtvEstimatorParams(
-            **{f.name: np.zeros_like(getattr(self, f.name)) for f in fields(self)}
-        )
-
-
-# Desk-scale preset: 257-bin LAS input, small recurrent/conv widths,
-# kernel 11 retained from the full-scale configuration (1024/1024/11/5999).
-DESK_PRESET = dict(input_dim=257, hidden_dim=32, channels=32, kernel=11, tail_len=255)
-FULL_PRESET = dict(input_dim=1025, hidden_dim=1024, channels=1024, kernel=11, tail_len=5999)
-
 
 def gru_forward(params, x):
     """Unidirectional GRU over frames x [n, input]; returns ([n, hidden], cache).

@@ -93,6 +93,8 @@ def read_rir(path):
     raw = Path(path).read_bytes()
     if raw[:4] != RIR_MAGIC:
         raise FormatError(f"{path}: bad magic, not a RIR file")
+    if len(raw) < 16:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
     version, fs, length = struct.unpack_from("<III", raw, 4)
     if version != 1:
         raise FormatError(f"{path}: unsupported RIR version {version}")
@@ -131,6 +133,8 @@ def load_checkpoint(path, expected_shapes=None):
     raw = Path(path).read_bytes()
     if raw[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint")
+    if len(raw) < 16:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != 1:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")

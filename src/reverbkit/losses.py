@@ -10,12 +10,12 @@ gradients go through the STFT and the floored log analytically, with
 zero gradient wherever the amplitude floor is active.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import (AMPLITUDE_FLOOR, StftConfig, Waveform, _window,
-                  default_stft_config, fft, frame_signal)
+                  default_stft_config, fft, log_amplitude, stft)
 
 CORR_EPS = 1e-8
 
@@ -38,30 +38,18 @@ DESK_MRSD = MrsdConfig((
 ))
 
 
-def _stft_frames(samples, cfg):
-    win = _window(cfg)
-    frames = frame_signal(samples, cfg) * win
-    return fft(frames, cfg.fft_size), win
-
-
-def _log_mag(spec, cfg):
-    mag = np.abs(spec[:, : cfg.n_bins])
-    floored = np.maximum(mag, AMPLITUDE_FLOOR)
-    return np.log(floored), mag, floored
-
-
-def _grad_through_stft(gspec, spec, cfg, win, n_samples):
+def _grad_through_stft(gspec, cfg, n_samples):
     """Backpropagate a complex spectrum gradient to the input samples.
 
     gspec holds dL/dRe + i*dL/dIm for the first n_bins bins of each
     frame (bins above Nyquist carry no loss).  For a real input frame x,
     dL/dx = N * Re(ifft(g_full)).
     """
-    n_frames = spec.shape[0]
+    n_frames = gspec.shape[0]
     g_full = np.zeros((n_frames, cfg.fft_size), dtype=np.complex128)
     g_full[:, : cfg.n_bins] = gspec
     gframes = cfg.fft_size * np.real(fft(g_full, cfg.fft_size, inverse=True))
-    gframes = gframes[:, : cfg.frame_length] * win
+    gframes = gframes[:, : cfg.frame_length] * _window(cfg)
     grad = np.zeros(n_samples)
     for t in range(n_frames):
         s = t * cfg.frame_shift
@@ -71,19 +59,19 @@ def _grad_through_stft(gspec, spec, cfg, win, n_samples):
 
 def _spectral_mse(gen, ref, cfg):
     """Mean squared log-magnitude error at one resolution, with gradient."""
-    spec_g, win = _stft_frames(gen, cfg)
-    spec_r, _ = _stft_frames(ref, cfg)
-    lg, mag_g, floored_g = _log_mag(spec_g, cfg)
-    lr, _, _ = _log_mag(spec_r, cfg)
-    diff = lg - lr
+    spec_g = stft(gen, cfg)
+    diff = (log_amplitude(spec_g, cfg).values
+            - log_amplitude(stft(ref, cfg), cfg).values)
     n_elem = diff.size
     loss = float(np.mean(diff**2))
     # d loss / d|X| is zero where the floor clamps; elsewhere 2*diff/(n*|X|)
+    mag_g = np.abs(spec_g[:, : cfg.n_bins])
+    floored_g = np.maximum(mag_g, AMPLITUDE_FLOOR)
     active = mag_g > AMPLITUDE_FLOOR
     dmag = np.where(active, 2.0 * diff / (n_elem * floored_g), 0.0)
     safe = np.where(mag_g > 0, mag_g, 1.0)
     gspec = dmag * spec_g[:, : cfg.n_bins] / safe
-    grad = _grad_through_stft(gspec, spec_g, cfg, win, len(gen))
+    grad = _grad_through_stft(gspec, cfg, len(gen))
     return loss, grad
 
 
@@ -147,14 +135,3 @@ def waveform_mse_loss(gen, ref):
         raise ValueError("generated and reference lengths differ")
     diff = g - r
     return float(np.mean(diff**2)), 2.0 * diff / len(g)
-
-
-def multitask_loss(main, secondary):
-    """Sum of the main and secondary objectives: (loss, grad) pairs in, out.
-
-    Gradients are w.r.t. different tensors (reverberant vs dry branch),
-    so they are returned side by side rather than added.
-    """
-    main_l, main_g = main
-    sec_l, sec_g = secondary
-    return main_l + sec_l, main_g, sec_g

@@ -27,10 +27,13 @@ class AdamState:
         return d
 
     def load_state_dict(self, d):
+        """Replace the step and all moments by those in d (e.g. a checkpoint)."""
         self.step = int(d["adam.step"][0])
-        for k in list(self.m):
-            self.m[k] = d[f"adam.m.{k}"]
-            self.v[k] = d[f"adam.v.{k}"]
+        self.m, self.v = {}, {}
+        for key, a in d.items():
+            for prefix, moments in (("adam.m.", self.m), ("adam.v.", self.v)):
+                if key.startswith(prefix):
+                    moments[key[len(prefix):]] = np.array(a, dtype=np.float64)
 
 
 def adam_step(state, params, grads):

@@ -25,6 +25,13 @@ class Rir:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
+    @classmethod
+    def zeros(cls, length, sample_rate):
+        """Identity RIR of the given length: a unit direct path, zero tail."""
+        if length < 1:
+            raise ValueError("RIR length must be >= 1")
+        return cls(np.zeros(length - 1), sample_rate)
+
     @property
     def length(self):
         return len(self.tail) + 1
@@ -34,25 +41,8 @@ class Rir:
         return assemble(self.tail)
 
 
-@dataclass
-class GtiRir:
-    """Globally shared trainable RIR tail; starts as an exact identity."""
-
-    tail: np.ndarray
-    sample_rate: int
-
-    @classmethod
-    def zeros(cls, length, sample_rate):
-        if length < 1:
-            raise ValueError("RIR length must be >= 1")
-        return cls(np.zeros(length - 1), sample_rate)
-
-    def as_rir(self):
-        return Rir(self.tail.copy(), self.sample_rate)
-
-    @property
-    def coefficients(self):
-        return assemble(self.tail)
+# The learned GTI tail is a plain Rir; the name stays for existing callers.
+GtiRir = Rir
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,7 @@ def synth_rir(spec, length, sample_rate, min_decay_db=30.0):
 
 
 def _coeffs(h):
-    if isinstance(h, (Rir, GtiRir)):
+    if isinstance(h, Rir):
         return h.coefficients, h.sample_rate
     return np.asarray(h, dtype=np.float64), None
 
@@ -205,6 +195,9 @@ def _truncated_decay_fit_t60(h, fs, start, end, t60_min=0.01, t60_max=3.0):
     grid = np.geomspace(t60_min, t60_max, 200)
     scores = [residual(t) for t in grid]
     i = int(np.argmin(scores))
+    if i == len(grid) - 1:
+        raise ValueError(f"decay too slow to measure: best fit at the "
+                         f"{t60_max} s search ceiling")
     a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - phi * (b - a), a + phi * (b - a)

@@ -39,9 +39,6 @@ class DatasetManifest:
     sample_rate: int
     root: Path = field(default=Path("."))
 
-    def split(self, name):
-        return [e for e in self.entries if e["split"] == name]
-
 
 # Desk defaults mirroring the seen/unseen room structure: unseen T60s sit
 # outside the seen range so generalization is actually tested.

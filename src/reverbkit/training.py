@@ -1,11 +1,12 @@
-"""Training loops for the reverberation models.
+"""The training loop for the reverberation models.
 
-Three loops share the same skeleton: sample utterances, render the
-reverberant output through the convolution module, evaluate the main
-loss, push gradients back through the convolution (and, for UTV, through
-the estimator network), and take an Adam step.  Minibatch selection is
-derived statelessly from (seed, step) so a run can be checkpointed and
-resumed bit-exactly.
+GTI, UTV and multi-task training run the same loop: sample utterances,
+render the reverberant output through the convolution module, evaluate
+the main loss, push gradients back through the convolution into the
+reverb model (a learned tail or the estimator network) and, for
+multi-task, into the vocoder, then take an Adam step.  Minibatch
+selection is derived statelessly from (seed, step) so a run can be
+checkpointed and resumed bit-exactly.
 """
 
 import json
@@ -16,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convolve import convolve_fft, convolve_grad
-from .dsp import Waveform, default_stft_config, las
+from .dsp import default_stft_config, las
 from .estimator import UtvEstimatorParams, estimator_backward, estimator_forward
 from .losses import DESK_MRSD, mrsd_loss, secondary_dry_loss, waveform_mse_loss
 from .optim import AdamState, adam_step
-from .rir import GtiRir, assemble
-from .vocoder import ToyVocoderParams, sine_source, vocoder_backward, vocoder_forward
+from .rir import Rir, assemble
+from .vocoder import sine_source, vocoder_backward, vocoder_forward
 
 
 @dataclass
@@ -82,38 +83,104 @@ def _batch_indices(seed, step, n, batch_size):
     return rng.integers(0, n, size=min(batch_size, n))
 
 
-def train_gti(dataset, rir_len, steps, hyper=None, seed=0,
-              gti=None, adam=None, start_step=0, report=None):
-    """Learn one shared RIR tail on (dry, reverberant) pairs."""
+class _GtiModel:
+    """Reverb model whose one shared tail is itself the parameter."""
+
+    def __init__(self, gti):
+        self.params = {"gti.tail": gti.tail}
+
+    def forward(self, i):
+        return self.params["gti.tail"], None
+
+    def backward(self, cache, grad_tail):
+        return {"gti.tail": grad_tail}
+
+
+class _UtvModel:
+    """Reverb model predicting each utterance's tail from its reverberant LAS."""
+
+    def __init__(self, est, dataset, las_cache=None):
+        self.est = est
+        self.las_cache = reverb_las(dataset) if las_cache is None else las_cache
+        self.params = est.as_dict("utv.")
+
+    def forward(self, i):
+        return estimator_forward(self.est, self.las_cache[i])
+
+    def backward(self, cache, grad_tail):
+        grads, _ = estimator_backward(self.est, cache, grad_tail)
+        return grads.as_dict("utv.")
+
+
+def _start(dataset, hyper):
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    hyper = hyper or TrainHyper()
-    fs = dataset[0].dry.sample_rate
-    gti = gti or GtiRir.zeros(rir_len, fs)
+    return hyper or TrainHyper()
+
+
+def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
+           batch_size, voc=None, sources=None):
+    """The training loop; voc and sources add the vocoder's dry branch.
+
+    Per utterance: the model's tail, the render through the convolution,
+    the main loss and its gradient back to the tail (and, with a
+    vocoder, to the FIR, plus the secondary loss on the dry output).
+    Gradients and losses are averaged over the batch before one Adam step.
+    """
     adam = adam or AdamState(lr=hyper.lr, beta1=hyper.beta1,
                              beta2=hyper.beta2, eps=hyper.eps)
     report = report or TrainReport(seed=seed)
-    params = {"gti.tail": gti.tail}
+    params = dict(model.params)
+    if voc is not None:
+        params["voc.fir"] = voc.fir
+        sec_cfg = default_stft_config(dataset[0].dry.sample_rate)
     t0 = time.perf_counter()
     for step in range(start_step, start_step + steps):
         ts = time.perf_counter()
-        idx = _batch_indices(seed, step, len(dataset), hyper.batch_size)
-        h = assemble(gti.tail)
-        total = 0.0
-        grad = np.zeros_like(gti.tail)
+        idx = [int(i) for i in _batch_indices(seed, step, len(dataset), batch_size)]
+        total, sec_total, acc = 0.0, 0.0, None
         for i in idx:
             utt = dataset[i]
-            r_hat = convolve_fft(utt.dry.samples, h)
+            tail, cache = model.forward(i)
+            h = assemble(tail)
+            dry = utt.dry.samples
+            if voc is not None:
+                dry_hat, vcache = vocoder_forward(voc, sources[i])
+                dry = dry_hat.samples
+            r_hat = convolve_fft(dry, h)
             loss, grad_r = _main_loss(hyper, r_hat, utt.reverb.samples)
-            cg = convolve_grad(utt.dry.samples, h, grad_r)
+            cg = convolve_grad(dry, h, grad_r)
+            grads = model.backward(cache, cg.grad_rir[1:])  # direct path is structural
+            if voc is not None:
+                sec_l, sec_g = 0.0, 0.0
+                if hyper.secondary_weight != 0.0:
+                    sec_l, sec_g = secondary_dry_loss(dry, utt.dry.samples,
+                                                      las_cfg=sec_cfg)
+                grads["voc.fir"], _ = vocoder_backward(
+                    voc, vcache, cg.grad_dry + hyper.secondary_weight * sec_g)
+                sec_total += sec_l
             total += loss
-            grad += cg.grad_rir[1:]  # direct path is structural
-        total /= len(idx)
-        grad /= len(idx)
-        adam_step(adam, params, {"gti.tail": grad})
-        report.log(step, total, wall_ms=(time.perf_counter() - ts) * 1e3)
+            acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
+        adam_step(adam, params, {k: g / len(idx) for k, g in acc.items()})
+        # The masked FIR gradient keeps the unit tap exact; anything else is a fault.
+        if voc is not None and voc.fir[0] != 1.0:
+            raise ValueError(f"vocoder tap fir[0] is {voc.fir[0]!r}, not 1.0, "
+                             f"after step {step}")
+        sec = None if voc is None else hyper.secondary_weight * sec_total / len(idx)
+        report.log(step, total / len(idx), sec,
+                   wall_ms=(time.perf_counter() - ts) * 1e3)
     report.wall_s += time.perf_counter() - t0
     report.final_checksum = params_checksum(params)
+    return adam, report
+
+
+def train_gti(dataset, rir_len, steps, hyper=None, seed=0,
+              gti=None, adam=None, start_step=0, report=None):
+    """Learn one shared RIR tail on (dry, reverberant) pairs."""
+    hyper = _start(dataset, hyper)
+    gti = gti or Rir.zeros(rir_len, dataset[0].dry.sample_rate)
+    adam, report = _train(dataset, _GtiModel(gti), steps, hyper, seed, adam,
+                          start_step, report, hyper.batch_size)
     return gti, adam, report
 
 
@@ -125,45 +192,11 @@ def reverb_las(dataset, cfg=None):
 def train_utv(dataset, params_init, steps, hyper=None, seed=0,
               adam=None, start_step=0, report=None, las_cache=None):
     """Train the per-utterance RIR predictor on (dry, reverberant) pairs."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    hyper = hyper or TrainHyper()
-    params = params_init
-    adam = adam or AdamState(lr=hyper.lr, beta1=hyper.beta1,
-                             beta2=hyper.beta2, eps=hyper.eps)
-    report = report or TrainReport(seed=seed)
-    if las_cache is None:
-        las_cache = reverb_las(dataset)
-    pdict = params.as_dict("utv.")
-    t0 = time.perf_counter()
-    for step in range(start_step, start_step + steps):
-        ts = time.perf_counter()
-        idx = _batch_indices(seed, step, len(dataset), hyper.batch_size)
-        total = 0.0
-        acc = None
-        for i in idx:
-            utt = dataset[int(i)]
-            tail, cache = estimator_forward(params, las_cache[int(i)])
-            h = assemble(tail)
-            r_hat = convolve_fft(utt.dry.samples, h)
-            loss, grad_r = _main_loss(hyper, r_hat, utt.reverb.samples)
-            cg = convolve_grad(utt.dry.samples, h, grad_r)
-            grads, _ = estimator_backward(params, cache, cg.grad_rir[1:])
-            total += loss
-            gd = grads.as_dict("utv.")
-            if acc is None:
-                acc = gd
-            else:
-                for k in acc:
-                    acc[k] += gd[k]
-        total /= len(idx)
-        for k in acc:
-            acc[k] /= len(idx)
-        adam_step(adam, pdict, acc)
-        report.log(step, total, wall_ms=(time.perf_counter() - ts) * 1e3)
-    report.wall_s += time.perf_counter() - t0
-    report.final_checksum = params_checksum(pdict)
-    return params, adam, report
+    hyper = _start(dataset, hyper)
+    model = _UtvModel(params_init, dataset, las_cache)
+    adam, report = _train(dataset, model, steps, hyper, seed, adam,
+                          start_step, report, hyper.batch_size)
+    return params_init, adam, report
 
 
 def predict_rir_tail(params, las_values):
@@ -187,57 +220,18 @@ def train_mt(dataset, vocoder_init, reverb_model, steps, hyper=None, seed=0,
              adam=None, start_step=0, report=None):
     """Joint vocoder + reverberation training with the optional dry-side task.
 
-    reverb_model is either a GtiRir or UtvEstimatorParams.  The main loss
-    acts on the rendered reverberant output; the secondary loss (scaled by
-    hyper.secondary_weight) acts on the intermediate dry output only, so
-    RIR parameters never receive gradient from it.
+    reverb_model is either a Rir or UtvEstimatorParams; one utterance
+    per step.  The main loss acts on the rendered reverberant output; the
+    secondary loss (scaled by hyper.secondary_weight) acts on the
+    intermediate dry output only, so RIR parameters never receive
+    gradient from it.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    hyper = hyper or TrainHyper()
-    voc = vocoder_init
-    is_utv = isinstance(reverb_model, UtvEstimatorParams)
-    adam = adam or AdamState(lr=hyper.lr, beta1=hyper.beta1,
-                             beta2=hyper.beta2, eps=hyper.eps)
-    report = report or TrainReport(seed=seed)
-    sources = utterance_sources(dataset, hyper, seed)
-    las_cache = reverb_las(dataset) if is_utv else None
-    pdict = {"voc.fir": voc.fir}
-    if is_utv:
-        pdict.update(reverb_model.as_dict("utv."))
+    hyper = _start(dataset, hyper)
+    if isinstance(reverb_model, UtvEstimatorParams):
+        model = _UtvModel(reverb_model, dataset)
     else:
-        pdict["gti.tail"] = reverb_model.tail
-    sec_cfg = default_stft_config(dataset[0].dry.sample_rate)
-    t0 = time.perf_counter()
-    for step in range(start_step, start_step + steps):
-        ts = time.perf_counter()
-        i = int(_batch_indices(seed, step, len(dataset), 1)[0])
-        utt = dataset[i]
-        dry_hat, vcache = vocoder_forward(voc, sources[i])
-        if is_utv:
-            tail, ecache = estimator_forward(reverb_model, las_cache[i])
-        else:
-            tail = reverb_model.tail
-        h = assemble(tail)
-        r_hat = convolve_fft(dry_hat.samples, h)
-        main_l, grad_r = _main_loss(hyper, r_hat, utt.reverb.samples)
-        sec_l, sec_g = 0.0, 0.0
-        if hyper.secondary_weight != 0.0:
-            sec_l, sec_g = secondary_dry_loss(dry_hat.samples, utt.dry.samples,
-                                              las_cfg=sec_cfg)
-        cg = convolve_grad(dry_hat.samples, h, grad_r)
-        grad_dry = cg.grad_dry + hyper.secondary_weight * sec_g
-        grad_fir, _ = vocoder_backward(voc, vcache, grad_dry)
-        grads = {"voc.fir": grad_fir}
-        if is_utv:
-            egrads, _ = estimator_backward(reverb_model, ecache, cg.grad_rir[1:])
-            grads.update(egrads.as_dict("utv."))
-        else:
-            grads["gti.tail"] = cg.grad_rir[1:]
-        adam_step(adam, pdict, grads)
-        voc.fir[0] = 1.0  # masked gradient keeps this exact; assert cheaply
-        report.log(step, main_l, hyper.secondary_weight * sec_l,
-                   wall_ms=(time.perf_counter() - ts) * 1e3)
-    report.wall_s += time.perf_counter() - t0
-    report.final_checksum = params_checksum(pdict)
-    return voc, reverb_model, adam, report
+        model = _GtiModel(reverb_model)
+    adam, report = _train(dataset, model, steps, hyper, seed, adam, start_step,
+                          report, 1, voc=vocoder_init,
+                          sources=utterance_sources(dataset, hyper, seed))
+    return vocoder_init, reverb_model, adam, report

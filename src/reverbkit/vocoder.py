@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import convolve_direct, convolve_fft, convolve_grad
+from .convolve import convolve_fft, convolve_grad
 from .dsp import Waveform
 
 
@@ -38,10 +38,9 @@ class F0Track:
 
 @dataclass
 class ToyVocoderParams:
-    """FIR taps (tap 0 fixed to 1) plus an unused-by-default noise gain."""
+    """FIR taps, tap 0 fixed to 1."""
 
     fir: np.ndarray
-    noise_gain: float = 0.0
 
     def __post_init__(self):
         self.fir = np.asarray(self.fir, dtype=np.float64)

@@ -177,6 +177,13 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert rc == 1
 
 
+def test_truncated_rir_is_runtime_error(tmp_path, capsys):
+    (tmp_path / "short.rir").write_bytes(b"RIR1\x01\x00")
+    rc = run(["t60", "--rir", str(tmp_path / "short.rir")])
+    assert rc == 1
+    assert "truncated header" in capsys.readouterr().err
+
+
 def test_bad_usage_is_exit_2(capsys):
     rc = run(["train-gti"])  # missing required --manifest
     capsys.readouterr()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from reverbkit.dsp import (AMPLITUDE_FLOOR, StftConfig, Waveform, fft,
-                           log_amplitude, mel_filterbank, mel_spectrogram,
-                           stft)
+                           log_amplitude, stft)
 
 
 def test_fft_delta_is_constant():
@@ -110,34 +109,6 @@ def test_log_amplitude_monotone():
     hi = log_amplitude(np.full((1, 8), 2.0 + 0j), cfg).values
     assert np.all(hi > lo)
     assert np.all(lo >= np.log(AMPLITUDE_FLOOR))
-
-
-def test_mel_zero_signal():
-    cfg = StftConfig(fft_size=512, frame_length=400, frame_shift=96)
-    mel = mel_spectrogram(Waveform(np.zeros(1000), 8000), cfg, 40)
-    assert np.allclose(mel.values, np.log(1e-5))
-
-
-def test_mel_filterbank_shape_and_coverage():
-    fb = mel_filterbank(2048, 80, 24000)
-    assert fb.shape == (80, 1025)
-    assert np.all(fb.sum(axis=1) > 0)
-
-
-def test_mel_too_many_filters():
-    with pytest.raises(ValueError):
-        mel_filterbank(8, 6, 8000)
-
-
-def test_mel_log_linearity():
-    cfg = StftConfig(fft_size=512, frame_length=400, frame_shift=96)
-    rng = np.random.default_rng(3)
-    w1 = Waveform(0.3 * rng.standard_normal(2000), 8000)
-    w2 = Waveform(2.0 * w1.samples, 8000)
-    m1 = mel_spectrogram(w1, cfg, 40).values
-    m2 = mel_spectrogram(w2, cfg, 40).values
-    above = m1 > np.log(AMPLITUDE_FLOOR) + 1.0
-    assert np.allclose(m2[above] - m1[above], np.log(2.0))
 
 
 def test_waveform_validation():

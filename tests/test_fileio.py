@@ -193,3 +193,21 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("n_bytes", [4, 6, 15])
+def test_rir_rejects_short_header(tmp_path, n_bytes):
+    p = tmp_path / "a.rir"
+    write_rir(p, Rir(np.zeros(3), 8000))
+    p.write_bytes(p.read_bytes()[:n_bytes])
+    with pytest.raises(FormatError, match="truncated header"):
+        read_rir(p)
+
+
+@pytest.mark.parametrize("n_bytes", [4, 6, 15])
+def test_checkpoint_rejects_short_header(tmp_path, n_bytes):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {})
+    p.write_bytes(p.read_bytes()[:n_bytes])
+    with pytest.raises(FormatError, match="truncated header"):
+        load_checkpoint(p)

@@ -4,8 +4,7 @@ import pytest
 from reverbkit.checks import check_mrsd, check_secondary
 from reverbkit.dsp import StftConfig, Waveform
 from reverbkit.losses import (DESK_MRSD, MrsdConfig, mrsd_loss,
-                              multitask_loss, secondary_dry_loss,
-                              waveform_mse_loss)
+                              secondary_dry_loss, waveform_mse_loss)
 
 TINY = MrsdConfig((
     StftConfig(fft_size=64, frame_length=48, frame_shift=16),
@@ -146,14 +145,6 @@ def test_secondary_constant_signal_guarded():
 def test_secondary_length_mismatch():
     with pytest.raises(ValueError):
         secondary_dry_loss(np.zeros(10), np.zeros(11))
-
-
-def test_multitask_sum():
-    main = (1.5, np.array([1.0, 2.0]))
-    sec = (0.25, np.array([3.0]))
-    total, gm, gs = multitask_loss(main, sec)
-    assert total == 1.75
-    assert np.array_equal(gm, main[1]) and np.array_equal(gs, sec[1])
 
 
 def test_mrsd_grad_descent_direction():

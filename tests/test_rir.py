@@ -148,6 +148,15 @@ def test_estimate_t60_no_decay_raises():
         estimate_t60(h, 8000)
 
 
+def test_estimate_t60_flat_tail_raises_at_search_ceiling():
+    # noise with a flat envelope: the decay fit's best candidate is the
+    # largest T60 it searches, which is not a measurement
+    rng = np.random.default_rng(0)
+    h = np.concatenate(([1.0], rng.standard_normal(255) / np.sqrt(255)))
+    with pytest.raises(ValueError, match="ceiling"):
+        estimate_t60(h, 8000)
+
+
 def test_t60_error_stats_zero():
     s = t60_error_stats([0.1, 0.2], [0.1, 0.2])
     assert s["mean"] == 0 and s["median"] == 0 and s["q1"] == 0 and s["q3"] == 0

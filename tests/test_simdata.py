@@ -68,8 +68,8 @@ def test_build_dataset_layout(tmp_path):
 
 def test_build_dataset_splits(tmp_path):
     m = build_dataset(TWO_ROOMS, ONE_UNSEEN, 40, 0.3, FS, tmp_path / "d", 1)
-    counts = {s: len(m.split(s)) for s in ("train", "val", "test_seen",
-                                           "test_unseen")}
+    counts = {s: sum(e["split"] == s for e in m.entries)
+              for s in ("train", "val", "test_seen", "test_unseen")}
     assert counts["train"] == 36
     assert counts["val"] == 2
     assert counts["test_seen"] == 2

@@ -4,6 +4,7 @@ import pytest
 from reverbkit.convolve import convolve_fft
 from reverbkit.dsp import StftConfig
 from reverbkit.estimator import UtvEstimatorParams
+from reverbkit.fileio import load_checkpoint, save_checkpoint
 from reverbkit.losses import MrsdConfig
 from reverbkit.optim import AdamState
 from reverbkit.rir import GtiRir, RoomSpec, assemble, synth_rir
@@ -125,6 +126,20 @@ def test_train_gti_resume_bit_exact():
     assert np.array_equal(g2.tail, full.tail)
 
 
+def test_train_gti_resume_from_checkpoint_bit_exact(tmp_path):
+    utts, _ = tiny_dataset()
+    full, _, _ = train_gti(utts, 64, 12, wave_hyper(), seed=3)
+    g1, a1, _ = train_gti(utts, 64, 6, wave_hyper(), seed=3)
+    save_checkpoint(tmp_path / "gti.ckpt", {"gti.tail": g1.tail, **a1.state_dict()})
+    ckpt = load_checkpoint(tmp_path / "gti.ckpt")
+    adam = AdamState(lr=wave_hyper().lr)
+    adam.load_state_dict(ckpt)
+    g2, _, _ = train_gti(utts, 64, 6, wave_hyper(), seed=3,
+                         gti=GtiRir(ckpt["gti.tail"], FS), adam=adam,
+                         start_step=6)
+    assert np.array_equal(g2.tail, full.tail)
+
+
 def test_train_gti_mrsd_runs_and_descends():
     utts, _ = tiny_dataset()
     _, _, rep = train_gti(utts, 64, 100, mrsd_hyper(lr=3e-3), seed=0)
@@ -199,6 +214,14 @@ def test_train_mt_utv_runs():
     voc, est, _, rep = train_mt(utts, voc, est, 8, mrsd_hyper(), seed=0)
     assert voc.fir[0] == 1.0
     assert len(rep.records) == 8
+
+
+def test_train_mt_rejects_moved_vocoder_tap():
+    utts, _ = tiny_dataset(n=3)
+    voc = ToyVocoderParams.identity(8)
+    voc.fir[0] = 2.0
+    with pytest.raises(ValueError, match="step 0"):
+        train_mt(utts, voc, GtiRir.zeros(64, FS), 1, mrsd_hyper(), seed=0)
 
 
 def test_train_mt_secondary_weight_zero_skips_secondary():
