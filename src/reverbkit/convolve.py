@@ -61,14 +61,15 @@ def convolve_fft(d, h):
     return out
 
 
-def convolve_grad(d, h, grad_r):
+def convolve_grad(d, h, grad_r, wrt_dry=True):
     """Gradients of the truncated convolution w.r.t. both inputs.
 
     With r_t = sum_k h_k d_{t-k+1} (output truncated to T):
       grad_rir_k = sum_t grad_r_t d_{t-k+1}
       grad_dry_s = sum_t grad_r_t h_{t-s+1}
     Both are cross-correlations, computed here as FFT convolutions with
-    a reversed second operand.
+    a reversed second operand.  With wrt_dry=False the dry gradient is
+    skipped (grad_dry is None) for callers whose dry input is fixed.
     """
     dd = _as_array(d)
     hh = _as_array(h)
@@ -81,6 +82,8 @@ def convolve_grad(d, h, grad_r):
     grad_rir = c[T - 1 : T - 1 + L].copy()
     if len(grad_rir) < L:  # L > T: positions beyond the signal get no gradient
         grad_rir = np.pad(grad_rir, (0, L - len(grad_rir)))
-    c = linear_conv_fft(g, hh[::-1])
-    grad_dry = c[L - 1 : L - 1 + T].copy()
+    grad_dry = None
+    if wrt_dry:
+        c = linear_conv_fft(g, hh[::-1])
+        grad_dry = c[L - 1 : L - 1 + T].copy()
     return ConvGrad(grad_dry=grad_dry, grad_rir=grad_rir)

@@ -5,6 +5,7 @@ precision.  The FFT is an in-house vectorized radix-2 implementation so
 results are bit-for-bit reproducible across installations.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,50 +87,50 @@ class LasFrames:
     config: StftConfig
 
 
+# Rows are transformed in blocks of about this many points, so that the
+# arrays one stage touches (256 KiB of complex128 each) stay in cache.
+_FFT_BLOCK_POINTS = 1 << 14
+
+
 @lru_cache(maxsize=64)
-def _fft_plan(n):
-    """Bit-reversal permutation and per-stage twiddle factors for size n."""
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(levels):
-        rev = (rev << 1) | ((idx >> b) & 1)
+def _fft_twiddles(n, inverse):
+    """Per-stage twiddles exp(-2*pi*i*k/size), size = 2, 4, ..., n (conjugated if inverse)."""
     twiddles = []
     size = 2
     while size <= n:
-        half = size // 2
-        twiddles.append(np.exp(-2j * np.pi * np.arange(half) / size))
+        tw = np.exp(-2j * np.pi * np.arange(size // 2) / size)
+        twiddles.append(np.conj(tw) if inverse else tw)
         size *= 2
-    return rev, twiddles
+    return twiddles
 
 
-def _fft_core(a, inverse):
-    """Iterative radix-2 Cooley-Tukey along the last axis (length power of two)."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    rev, twiddles = _fft_plan(n)
-    a = np.ascontiguousarray(a[..., rev], dtype=np.complex128)
-    lead = a.shape[:-1]
-    size = 2
-    for tw in twiddles:
-        if inverse:
-            tw = np.conj(tw)
-        half = size // 2
-        b = a.reshape(lead + (n // size, size))
-        t = b[..., half:] * tw
-        even = b[..., :half]
-        lower = even + t
-        b[..., half:] = even - t
-        b[..., :half] = lower
-        size *= 2
-    if inverse:
-        a = a / n
-    return a
+def _fft_rows(rows, n, inverse):
+    """Unscaled radix-2 transforms of the rows of a 2-D array, zero-padded to n.
+
+    Decimation in time in Stockham order: before the stage that builds
+    size-2s transforms, y[k, p, r] holds bin k of the size-s transform of
+    row r's samples p, p + n/s, p + 2n/s, ...  Each stage combines
+    residues p and p + n/2s with one butterfly over the whole array, so
+    no bit reversal is needed and every operation runs along long
+    contiguous runs.
+    """
+    m = rows.shape[0]
+    y = np.zeros((1, n, m), dtype=np.complex128)
+    y[0, : rows.shape[1]] = rows.T
+    s = 1
+    for tw in _fft_twiddles(n, inverse):
+        q = n // (2 * s)
+        even = y[:, :q]
+        t = y[:, q:] * tw[:, None, None]
+        y = np.empty((2 * s, q, m), dtype=np.complex128)
+        np.add(even, t, out=y[:s])
+        np.subtract(even, t, out=y[s:])
+        s *= 2
+    return y.reshape(n, m).T
 
 
 def fft(x, n, inverse=False):
-    """FFT of x zero-padded to length n (power of two, n >= len(x)).
+    """FFT of x along its last axis, zero-padded to length n (power of two).
 
     Forward uses exp(-2*pi*i*k*m/n); inverse applies the 1/n factor.
     """
@@ -138,10 +139,16 @@ def fft(x, n, inverse=False):
         raise ValueError("transform size must be a power of two")
     if x.shape[-1] > n:
         raise ValueError("transform size smaller than the input")
-    if x.shape[-1] < n:
-        pad = [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]
-        x = np.pad(x, pad)
-    return _fft_core(x.astype(np.complex128, copy=False), inverse)
+    lead = x.shape[:-1]
+    rows = x.reshape(math.prod(lead), x.shape[-1])
+    out = np.empty((rows.shape[0], n), dtype=np.complex128)
+    block = max(1, _FFT_BLOCK_POINTS // n)
+    for r in range(0, rows.shape[0], block):
+        out[r : r + block] = _fft_rows(rows[r : r + block], n, inverse)
+    out = out.reshape(lead + (n,))
+    if inverse and n > 1:
+        out /= n
+    return out
 
 
 def _window(cfg):

@@ -122,10 +122,14 @@ def gru_backward(params, cache, grad_h_seq):
     """Full BPTT; returns (param grads dict, grad w.r.t. input frames)."""
     x, h, z, g, c, u = (cache[k] for k in ("x", "h", "z", "g", "c", "u"))
     n = x.shape[0]
-    gp = {k: np.zeros_like(v) for k, v in params.as_dict().items()
-          if not k.startswith(("conv", "out"))}
-    gx = np.zeros_like(x)
-    dh = np.zeros(params.hidden_dim)
+    hd = params.hidden_dim
+    # Gate gradients stacked z, g, c: rows [0, hd), [hd, 2hd), [2hd, 3hd).
+    d_pre = np.empty((n, 3 * hd))  # per frame: daz, dag, dac
+    d_rec = np.empty(3 * hd)  # daz, dag, du (what reaches U_z, U_g, U_c)
+    g_w = np.zeros((3 * hd, x.shape[1]))
+    g_u = np.zeros((3 * hd, hd))
+    g_b = np.zeros(3 * hd)
+    dh = np.zeros(hd)
     for t in range(n - 1, -1, -1):
         dh = dh + grad_h_seq[t]
         hp = h[t]
@@ -136,17 +140,19 @@ def gru_backward(params, cache, grad_h_seq):
         dg = dac * u[t]
         dag = dg * g[t] * (1.0 - g[t])
         du = dac * g[t]
-        gp["W_z"] += np.outer(daz, x[t])
-        gp["U_z"] += np.outer(daz, hp)
-        gp["b_z"] += daz
-        gp["W_g"] += np.outer(dag, x[t])
-        gp["U_g"] += np.outer(dag, hp)
-        gp["b_g"] += dag
-        gp["W_c"] += np.outer(dac, x[t])
-        gp["U_c"] += np.outer(du, hp)
-        gp["b_c"] += dac
-        gx[t] = (params.W_z.T @ daz + params.W_g.T @ dag + params.W_c.T @ dac)
+        d = d_pre[t]
+        d[:hd], d[hd : 2 * hd], d[2 * hd :] = daz, dag, dac
+        d_rec[: 2 * hd], d_rec[2 * hd :] = d[: 2 * hd], du
+        g_w += d[:, None] * x[t]
+        g_u += d_rec[:, None] * hp
+        g_b += d
         dh = dh * z[t] + params.U_z.T @ daz + params.U_g.T @ dag + params.U_c.T @ du
+    gx = (d_pre[:, :hd] @ params.W_z + d_pre[:, hd : 2 * hd] @ params.W_g
+          + d_pre[:, 2 * hd :] @ params.W_c)
+    gp = {}
+    for i, gate in enumerate("zgc"):
+        rows = slice(i * hd, (i + 1) * hd)
+        gp[f"W_{gate}"], gp[f"U_{gate}"], gp[f"b_{gate}"] = g_w[rows], g_u[rows], g_b[rows]
     return gp, gx
 
 

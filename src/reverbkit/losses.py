@@ -50,10 +50,20 @@ def _grad_through_stft(gspec, cfg, n_samples):
     g_full[:, : cfg.n_bins] = gspec
     gframes = cfg.fft_size * np.real(fft(g_full, cfg.fft_size, inverse=True))
     gframes = gframes[:, : cfg.frame_length] * _window(cfg)
+    # Overlap-add in blocks of frame_shift samples: block b gets piece j
+    # of frame b - j, added in increasing frame order as a per-frame loop
+    # would (the zero padding up to a whole number of blocks adds nothing).
+    shift = cfg.frame_shift
+    k = -(-cfg.frame_length // shift)
+    pieces = np.zeros((n_frames, k * shift))
+    pieces[:, : cfg.frame_length] = gframes
+    pieces = pieces.reshape(n_frames, k, shift)
+    blocks = np.zeros((n_frames + k - 1, shift))
+    for j in reversed(range(k)):
+        blocks[j : j + n_frames] += pieces[:, j]
     grad = np.zeros(n_samples)
-    for t in range(n_frames):
-        s = t * cfg.frame_shift
-        grad[s : s + cfg.frame_length] += gframes[t]
+    m = min(n_samples, blocks.size)
+    grad[:m] = blocks.reshape(-1)[:m]
     return grad
 
 

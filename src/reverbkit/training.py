@@ -149,7 +149,7 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
                 dry = dry_hat.samples
             r_hat = convolve_fft(dry, h)
             loss, grad_r = _main_loss(hyper, r_hat, utt.reverb.samples)
-            cg = convolve_grad(dry, h, grad_r)
+            cg = convolve_grad(dry, h, grad_r, wrt_dry=voc is not None)
             grads = model.backward(cache, cg.grad_rir[1:])  # direct path is structural
             if voc is not None:
                 sec_l, sec_g = 0.0, 0.0

@@ -79,6 +79,15 @@ def test_grad_hand_example():
     assert np.allclose(cg.grad_dry, [3.0, 1.0])
 
 
+def test_grad_without_dry_keeps_rir_gradient():
+    rng = np.random.default_rng(12)
+    d, h, g = rng.standard_normal(50), rng.standard_normal(7), rng.standard_normal(50)
+    full = convolve_grad(d, h, g)
+    rir_only = convolve_grad(d, h, g, wrt_dry=False)
+    assert rir_only.grad_dry is None
+    assert np.array_equal(rir_only.grad_rir, full.grad_rir)
+
+
 def test_grad_length_mismatch():
     with pytest.raises(ValueError):
         convolve_grad(np.ones(5), np.ones(3), np.zeros(4))

@@ -50,6 +50,53 @@ def test_fft_zero_pads():
     assert np.allclose(X, np.ones(8))
 
 
+def test_fft_batched_rows_match_dft_and_single_rows():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+    padded = np.concatenate([x, np.zeros((2, 3, 3))], axis=-1)
+    k = np.arange(8)
+    dft = np.exp(-2j * np.pi * np.outer(k, k) / 8)
+    X = fft(x, 8)
+    assert X.shape == (2, 3, 8)
+    assert np.max(np.abs(X - padded @ dft.T)) <= 1e-12
+    assert np.max(np.abs(fft(X, 8, inverse=True) - padded)) <= 1e-12
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(fft(x[i, j], 8), X[i, j])
+
+
+def _bit_reversed_fft(x, n, inverse=False):
+    """Reference: in-place radix-2 decimation in time after a bit reversal."""
+    a = np.zeros(x.shape[:-1] + (n,), dtype=np.complex128)
+    a[..., : x.shape[-1]] = x
+    rev = np.zeros(n, dtype=np.intp)
+    for b in range(n.bit_length() - 1):
+        rev = (rev << 1) | ((np.arange(n) >> b) & 1)
+    a = a[..., rev]
+    size = 2
+    while size <= n:
+        tw = np.exp(-2j * np.pi * np.arange(size // 2) / size)
+        blocks = a.reshape(a.shape[:-1] + (n // size, size))
+        t = blocks[..., size // 2 :] * (np.conj(tw) if inverse else tw)
+        even = blocks[..., : size // 2]
+        lower = even + t
+        blocks[..., size // 2 :] = even - t
+        blocks[..., : size // 2] = lower
+        size *= 2
+    return a / n if inverse and n > 1 else a
+
+
+@pytest.mark.parametrize("shape,n", [((5,), 1), ((1,), 2), ((400, 80), 128),
+                                     ((3, 97, 640), 1024), ((16000,), 32768)])
+def test_fft_bit_identical_to_bit_reversed_form(shape, n):
+    # same butterflies in a different memory order: results match exactly
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(shape)[..., :n]
+    for inverse in (False, True):
+        assert np.array_equal(fft(x, n, inverse), _bit_reversed_fft(x, n, inverse))
+    z = x + 1j * rng.standard_normal(x.shape)
+    assert np.array_equal(fft(z, n, True), _bit_reversed_fft(z, n, True))
+
+
 def test_stft_frame_count():
     cfg = StftConfig(fft_size=2048, frame_length=1200, frame_shift=288)
     w = Waveform(np.zeros(1200), 24000)

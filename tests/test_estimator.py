@@ -4,7 +4,7 @@ import pytest
 from reverbkit.checks import check_utv
 from reverbkit.estimator import (UtvEstimatorParams, conv1d_forward,
                                  estimator_backward, estimator_forward,
-                                 gru_forward, temporal_avg_pool,
+                                 gru_backward, gru_forward, temporal_avg_pool,
                                  temporal_avg_pool_grad)
 
 
@@ -50,6 +50,24 @@ def test_gru_bptt_matches_finite_differences():
     # covered in depth by checks.check_utv; spot-check one weight here
     rep = check_utv()
     assert rep["passed"], rep
+
+
+def test_gru_input_gradient_matches_finite_differences():
+    p = tiny_params(seed=3)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 8))
+    w = rng.standard_normal((5, 4))  # loss = sum(w * h)
+    _, cache = gru_forward(p, x)
+    _, gx = gru_backward(p, cache, w)
+    eps = 1e-6
+    num = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += eps
+        xm[idx] -= eps
+        num[idx] = (np.sum(w * gru_forward(p, xp)[0])
+                    - np.sum(w * gru_forward(p, xm)[0])) / (2 * eps)
+    assert np.max(np.abs(gx - num)) <= 1e-6 * max(1.0, np.max(np.abs(num)))
 
 
 def test_pool_mean():

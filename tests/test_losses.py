@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from reverbkit.checks import check_mrsd, check_secondary
-from reverbkit.dsp import StftConfig, Waveform
-from reverbkit.losses import (DESK_MRSD, MrsdConfig, mrsd_loss,
-                              secondary_dry_loss, waveform_mse_loss)
+from reverbkit.dsp import StftConfig, Waveform, _window, fft
+from reverbkit.losses import (DESK_MRSD, MrsdConfig, _grad_through_stft,
+                              mrsd_loss, secondary_dry_loss, waveform_mse_loss)
 
 TINY = MrsdConfig((
     StftConfig(fft_size=64, frame_length=48, frame_shift=16),
@@ -70,6 +70,26 @@ def test_mrsd_floor_gives_zero_gradient():
     loss, grad = mrsd_loss(np.zeros(256), ref, TINY)
     assert loss > 0
     assert np.all(grad == 0)
+
+
+def test_stft_gradient_overlap_add_matches_frame_loop():
+    # 400-sample frames are not a whole number of 96-sample shifts, and
+    # the last frame ends 24 samples before the signal does
+    cfg = StftConfig(fft_size=512, frame_length=400, frame_shift=96)
+    n_samples = 1000
+    n_frames = cfg.n_frames(n_samples)
+    rng = np.random.default_rng(11)
+    gspec = (rng.standard_normal((n_frames, cfg.n_bins))
+             + 1j * rng.standard_normal((n_frames, cfg.n_bins)))
+    g_full = np.zeros((n_frames, cfg.fft_size), dtype=np.complex128)
+    g_full[:, : cfg.n_bins] = gspec
+    gframes = cfg.fft_size * np.real(fft(g_full, cfg.fft_size, inverse=True))
+    gframes = gframes[:, : cfg.frame_length] * _window(cfg)
+    want = np.zeros(n_samples)
+    for t in range(n_frames):
+        s = t * cfg.frame_shift
+        want[s : s + cfg.frame_length] += gframes[t]
+    assert np.array_equal(_grad_through_stft(gspec, cfg, n_samples), want)
 
 
 def test_mrsd_waveform_wrapper():
