@@ -17,8 +17,8 @@ from .fileio import (FormatError, load_checkpoint, read_rir, read_wav,
 from .losses import (MrsdConfig, mrsd_loss, secondary_dry_loss,
                      waveform_mse_loss)
 from .optim import AdamState, adam_step, grad_check
-from .rir import (EnergyDecayCurve, Rir, RoomSpec, assemble, edc,
-                  estimate_t60, synth_rir, t60_error_stats)
+from .rir import (Rir, RoomSpec, assemble, edc, estimate_t60, synth_rir,
+                  t60_error_stats)
 from .simdata import (DatasetManifest, Utterance, build_dataset, gen_f0_track,
                       load_manifest, load_utterances)
 from .training import (TrainHyper, TrainReport, train_gti, train_mt, train_utv)

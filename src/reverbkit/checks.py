@@ -8,17 +8,16 @@ checker.  Used by the test suite and by the `gradcheck` CLI subcommand.
 import numpy as np
 
 from .convolve import convolve_fft, convolve_grad
-from .dsp import StftConfig
+from .dsp import StftConfig, Waveform
 from .estimator import UtvEstimatorParams, estimator_backward, estimator_forward
 from .losses import MrsdConfig, mrsd_loss, secondary_dry_loss
 from .optim import grad_check
 from .rir import assemble
 from .vocoder import ToyVocoderParams, vocoder_backward, vocoder_forward
-from .dsp import Waveform
 
 TINY_STFT = StftConfig(fft_size=64, frame_length=48, frame_shift=16)
 TINY_MRSD = MrsdConfig((
-    StftConfig(fft_size=64, frame_length=48, frame_shift=16),
+    TINY_STFT,
     StftConfig(fft_size=32, frame_length=24, frame_shift=8),
 ))
 
@@ -108,8 +107,8 @@ def check_mrsd(eps=1e-5, tolerance=1e-5):
     ref = rng.standard_normal(160)
 
     def loss_fn(params):
-        return mrsd_loss(params["gen"], ref, TINY_MRSD)[0], \
-            {"gen": mrsd_loss(params["gen"], ref, TINY_MRSD)[1]}
+        loss, grad = mrsd_loss(params["gen"], ref, TINY_MRSD)
+        return loss, {"gen": grad}
 
     return grad_check(loss_fn, {"gen": gen.copy()}, eps, tolerance)
 

@@ -94,7 +94,12 @@ def _resolve(args):
     cfg = dict(DEFAULTS.get(args.command, {}))
     if args.config:
         overlay = json.loads(args.config.read_text(encoding="utf-8"))
-        cfg.update(overlay.get(args.command, overlay))
+        if isinstance(overlay, dict):
+            overlay = overlay.get(args.command, overlay)
+        if not isinstance(overlay, dict):
+            raise ValueError(f"{args.config}: the config and its {args.command!r} "
+                             f"section must be JSON objects")
+        cfg.update(overlay)
     for key, val in vars(args).items():
         if key in ("config", "command"):
             continue
@@ -112,10 +117,6 @@ def _load_rooms(path):
     mk = lambda r: RoomSpec(r["room_id"], r["t60"], r.get("direct_to_reverb_db", 2.0),
                             r.get("onset_delay", 1), r["seed"])
     return [mk(r) for r in d["seen"]], [mk(r) for r in d.get("unseen", [])]
-
-
-def _estimator_from_ckpt(ckpt):
-    return UtvEstimatorParams.from_dict(ckpt, "utv.")
 
 
 def _cmd_simulate(cfg):
@@ -140,18 +141,24 @@ def _train_common(cfg):
     return manifest, utts, out
 
 
+def _train_epilogue(out, name, params, adam, report, result):
+    """Write <name>.ckpt and the report; print result plus final loss (null
+    after zero steps) and checksum."""
+    save_checkpoint(out / f"{name}.ckpt", {**params, **adam.state_dict()})
+    report.write_jsonl(out / f"train_{name}_report.jsonl")
+    final = report.records[-1]["main_loss"] if report.records else None
+    print(json.dumps({**result, "final_loss": final,
+                      "checksum": report.final_checksum}))
+    return 0
+
+
 def _cmd_train_gti(cfg):
     manifest, utts, out = _train_common(cfg)
     gti, adam, report = train_gti(utts, cfg["rir_len"], cfg["steps"],
                                   _hyper(cfg), seed=cfg["seed"])
     write_rir(out / "gti.rir", gti)
-    save_checkpoint(out / "gti.ckpt",
-                    {"gti.tail": gti.tail, **adam.state_dict()})
-    report.write_jsonl(out / "train_gti_report.jsonl")
-    print(json.dumps({"rir": str(out / "gti.rir"),
-                      "final_loss": report.records[-1]["main_loss"],
-                      "checksum": report.final_checksum}))
-    return 0
+    return _train_epilogue(out, "gti", {"gti.tail": gti.tail}, adam, report,
+                           {"rir": str(out / "gti.rir")})
 
 
 def _make_estimator(cfg, manifest, seed):
@@ -165,12 +172,8 @@ def _cmd_train_utv(cfg):
     est = _make_estimator(cfg, manifest, cfg["seed"])
     est, adam, report = train_utv(utts, est, cfg["steps"], _hyper(cfg),
                                   seed=cfg["seed"])
-    save_checkpoint(out / "utv.ckpt", {**est.as_dict("utv."), **adam.state_dict()})
-    report.write_jsonl(out / "train_utv_report.jsonl")
-    print(json.dumps({"ckpt": str(out / "utv.ckpt"),
-                      "final_loss": report.records[-1]["main_loss"],
-                      "checksum": report.final_checksum}))
-    return 0
+    return _train_epilogue(out, "utv", est.as_dict("utv."), adam, report,
+                           {"ckpt": str(out / "utv.ckpt")})
 
 
 def _cmd_train_mt(cfg):
@@ -179,13 +182,8 @@ def _cmd_train_mt(cfg):
     voc = ToyVocoderParams.identity(cfg["fir_taps"])
     voc, est, adam, report = train_mt(utts, voc, est, cfg["steps"],
                                       _hyper(cfg), seed=cfg["seed"])
-    save_checkpoint(out / "mt.ckpt", {"voc.fir": voc.fir,
-                                      **est.as_dict("utv."), **adam.state_dict()})
-    report.write_jsonl(out / "train_mt_report.jsonl")
-    print(json.dumps({"ckpt": str(out / "mt.ckpt"),
-                      "final_loss": report.records[-1]["main_loss"],
-                      "checksum": report.final_checksum}))
-    return 0
+    return _train_epilogue(out, "mt", {"voc.fir": voc.fir, **est.as_dict("utv.")},
+                           adam, report, {"ckpt": str(out / "mt.ckpt")})
 
 
 def _cmd_apply(cfg):
@@ -193,7 +191,7 @@ def _cmd_apply(cfg):
     if cfg.get("rir"):
         coeffs = read_rir(cfg["rir"]).coefficients
     elif cfg.get("ckpt") and cfg.get("las_source"):
-        params = _estimator_from_ckpt(load_checkpoint(cfg["ckpt"]))
+        params = UtvEstimatorParams.from_dict(load_checkpoint(cfg["ckpt"]), "utv.")
         tail = predict_rir_tail(params, las(read_wav(cfg["las_source"])).values)
         coeffs = assemble(tail)
     else:
@@ -219,7 +217,7 @@ def _cmd_evaluate(cfg):
     if model_path.suffix == ".rir":
         fixed_t60 = estimate_t60(read_rir(model_path))
     else:
-        utv_params = _estimator_from_ckpt(load_checkpoint(model_path))
+        utv_params = UtvEstimatorParams.from_dict(load_checkpoint(model_path), "utv.")
     splits = tuple(cfg["split"].split(","))
     rows = []
     for e in manifest.entries:
@@ -291,9 +289,8 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    cfg = _resolve(args)
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_resolve(args))
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -35,10 +35,7 @@ def convolve_direct(d, h):
     """Time-domain linear convolution truncated to the dry length."""
     dd = _as_array(d)
     hh = _as_array(h)
-    out = np.convolve(dd, hh)[: len(dd)]
-    if isinstance(d, Waveform):
-        return Waveform(out, d.sample_rate)
-    return out
+    return np.convolve(dd, hh)[: len(dd)]
 
 
 def linear_conv_fft(a, b):
@@ -49,7 +46,7 @@ def linear_conv_fft(a, b):
 
 
 def convolve_fft(d, h):
-    """Frequency-domain implementation of convolve_direct (same contract)."""
+    """Frequency-domain convolve_direct; a Waveform input gives a Waveform output."""
     dd = _as_array(d)
     hh = _as_array(h)
     if not np.any(hh[1:]):  # pure direct path: keep the output sample-exact

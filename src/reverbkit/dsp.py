@@ -43,7 +43,6 @@ class StftConfig:
     fft_size: int
     frame_length: int
     frame_shift: int
-    window: str = "hann"
 
     def __post_init__(self):
         if not _is_pow2(self.fft_size):
@@ -52,8 +51,6 @@ class StftConfig:
             raise ValueError("frame_length must not exceed fft_size")
         if self.frame_shift < 1 or self.frame_shift > self.frame_length:
             raise ValueError("frame_shift must be in [1, frame_length]")
-        if self.window not in ("hann", "rect"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     @property
     def n_bins(self):
@@ -84,7 +81,6 @@ class LasFrames:
     """Log amplitude spectra, one row per frame, fft_size/2+1 bins."""
 
     values: np.ndarray
-    config: StftConfig
 
 
 # Rows are transformed in blocks of about this many points, so that the
@@ -152,8 +148,6 @@ def fft(x, n, inverse=False):
 
 
 def _window(cfg):
-    if cfg.window == "rect":
-        return np.ones(cfg.frame_length)
     n = np.arange(cfg.frame_length)
     return 0.5 - 0.5 * np.cos(2 * np.pi * n / cfg.frame_length)
 
@@ -165,12 +159,11 @@ def frame_signal(samples, cfg):
     return samples[starts[:, None] + np.arange(cfg.frame_length)]
 
 
-def stft(w, cfg):
-    """Windowed, zero-padded FFT per frame of a Waveform or sample array.
+def stft(samples, cfg):
+    """Hann-windowed, zero-padded FFT per frame of a sample array.
 
     Returns [n_frames, fft_size] complex.
     """
-    samples = w.samples if isinstance(w, Waveform) else w
     frames = frame_signal(samples, cfg) * _window(cfg)
     return fft(frames, cfg.fft_size)
 
@@ -178,11 +171,10 @@ def stft(w, cfg):
 def log_amplitude(spec, cfg):
     """Floored natural-log magnitudes over the fft_size/2+1 non-redundant bins."""
     mag = np.abs(spec[:, : cfg.n_bins])
-    return LasFrames(np.log(np.maximum(mag, AMPLITUDE_FLOOR)), cfg)
+    return LasFrames(np.log(np.maximum(mag, AMPLITUDE_FLOOR)))
 
 
-def las(w, cfg=None):
-    """Log amplitude spectra of a waveform under cfg (defaults per sample rate)."""
-    if cfg is None:
-        cfg = default_stft_config(w.sample_rate)
-    return log_amplitude(stft(w, cfg), cfg)
+def las(w):
+    """Log amplitude spectra of a waveform under its sample rate's analysis config."""
+    cfg = default_stft_config(w.sample_rate)
+    return log_amplitude(stft(w.samples, cfg), cfg)

@@ -60,6 +60,9 @@ class UtvEstimatorParams:
 
     @classmethod
     def from_dict(cls, d, prefix=""):
+        for f in fields(cls):
+            if prefix + f.name not in d:
+                raise ValueError(f"missing estimator parameter group {prefix + f.name}")
         return cls(**{f.name: d[prefix + f.name] for f in fields(cls)})
 
     @classmethod

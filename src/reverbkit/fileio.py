@@ -58,8 +58,13 @@ def read_wav(path):
     while pos + 8 <= len(raw):
         cid = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
+        if pos + 8 + size > len(raw):
+            raise FormatError(f"{path}: {cid!r} chunk of {size} bytes runs past "
+                              f"the end of the file")
         body = raw[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
+            if size < 16:
+                raise FormatError(f"{path}: fmt chunk too short ({size} bytes)")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             data = body
@@ -142,23 +147,27 @@ def load_checkpoint(path, expected_shapes=None):
     (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(payload) != stored_crc:
         raise FormatError(f"{path}: CRC mismatch, file corrupted")
-    pos = 0
-    (count,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    params = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", payload, pos)
+    try:
+        pos = 0
+        (count,) = struct.unpack_from("<I", payload, pos)
         pos += 4
-        name = payload[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (ndim,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{ndim}I", payload, pos) if ndim else ()
-        pos += 4 * ndim
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=pos)
-        pos += 8 * size
-        params[name] = arr.reshape(shape).copy()
+        params = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", payload, pos)
+            pos += 4
+            name = payload[pos : pos + nlen].decode("utf-8")
+            pos += nlen
+            (ndim,) = struct.unpack_from("<I", payload, pos)
+            pos += 4
+            shape = struct.unpack_from(f"<{ndim}I", payload, pos) if ndim else ()
+            pos += 4 * ndim
+            size = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(payload, dtype="<f8", count=size, offset=pos)
+            pos += 8 * size
+            params[name] = arr.reshape(shape).copy()
+    except (struct.error, ValueError) as e:  # ValueError: frombuffer, name decoding
+        raise FormatError(f"{path}: payload shorter than its entry table or "
+                          f"malformed ({e})") from e
     if expected_shapes is not None:
         for name, shape in expected_shapes.items():
             if name not in params:

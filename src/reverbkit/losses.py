@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (AMPLITUDE_FLOOR, StftConfig, Waveform, _window,
-                  default_stft_config, fft, log_amplitude, stft)
+from .dsp import AMPLITUDE_FLOOR, StftConfig, _window, fft, log_amplitude, stft
 
 CORR_EPS = 1e-8
 
@@ -85,12 +84,18 @@ def _spectral_mse(gen, ref, cfg):
     return loss, grad
 
 
-def mrsd_loss(gen, ref, cfg=DESK_MRSD):
-    """Multi-resolution spectral distortion; returns (loss, grad w.r.t. gen)."""
-    g = gen.samples if isinstance(gen, Waveform) else np.asarray(gen, dtype=np.float64)
-    r = ref.samples if isinstance(ref, Waveform) else np.asarray(ref, dtype=np.float64)
+def _pair(gen, ref):
+    """Generated and reference samples as float64 arrays of equal length."""
+    g = np.asarray(gen, dtype=np.float64)
+    r = np.asarray(ref, dtype=np.float64)
     if len(g) != len(r):
         raise ValueError("generated and reference lengths differ")
+    return g, r
+
+
+def mrsd_loss(gen, ref, cfg=DESK_MRSD):
+    """Multi-resolution spectral distortion; returns (loss, grad w.r.t. gen)."""
+    g, r = _pair(gen, ref)
     total = 0.0
     grad = np.zeros(len(g))
     for res in cfg.resolutions:
@@ -117,31 +122,17 @@ def _pearson_loss(g, r):
     return loss, -drho
 
 
-def secondary_dry_loss(gen_dry, ref_dry, las_cfg=None, weights=(1.0, 1.0, 1.0)):
-    """LAS-MSE + waveform MSE + correlation loss on the dry branch."""
-    g = gen_dry.samples if isinstance(gen_dry, Waveform) else np.asarray(gen_dry, dtype=np.float64)
-    r = ref_dry.samples if isinstance(ref_dry, Waveform) else np.asarray(ref_dry, dtype=np.float64)
-    if len(g) != len(r):
-        raise ValueError("generated and reference lengths differ")
-    if las_cfg is None:
-        fs = gen_dry.sample_rate if isinstance(gen_dry, Waveform) else 8000
-        las_cfg = default_stft_config(fs)
-    w1, w2, w3 = weights
+def secondary_dry_loss(gen_dry, ref_dry, las_cfg):
+    """LAS-MSE (under las_cfg) + waveform MSE + correlation loss on the dry branch."""
+    g, r = _pair(gen_dry, ref_dry)
     las_l, las_g = _spectral_mse(g, r, las_cfg)
-    diff = g - r
-    wav_l = float(np.mean(diff**2))
-    wav_g = 2.0 * diff / len(g)
+    wav_l, wav_g = waveform_mse_loss(g, r)
     corr_l, corr_g = _pearson_loss(g, r)
-    loss = w1 * las_l + w2 * wav_l + w3 * corr_l
-    grad = w1 * las_g + w2 * wav_g + w3 * corr_g
-    return loss, grad
+    return las_l + wav_l + corr_l, las_g + wav_g + corr_g
 
 
 def waveform_mse_loss(gen, ref):
     """Plain mean squared sample error; the phase-aware main-loss option."""
-    g = gen.samples if isinstance(gen, Waveform) else np.asarray(gen, dtype=np.float64)
-    r = ref.samples if isinstance(ref, Waveform) else np.asarray(ref, dtype=np.float64)
-    if len(g) != len(r):
-        raise ValueError("generated and reference lengths differ")
+    g, r = _pair(gen, ref)
     diff = g - r
     return float(np.mean(diff**2)), 2.0 * diff / len(g)

@@ -86,12 +86,8 @@ def grad_check(loss_fn, params, eps=1e-6, tolerance=1e-5):
             flat_n[i] = (lp - lm) / (2.0 * eps)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(num)), 1e-8)
         rel = np.abs(analytic - num) / denom
-        na = float(np.linalg.norm(analytic))
-        nn = float(np.linalg.norm(num))
-        cos = float(np.sum(analytic * num) / (na * nn)) if na > 0 and nn > 0 else 1.0
         groups[name] = {
             "max_rel_error": float(rel.max()) if rel.size else 0.0,
-            "cosine": cos,
             "passed": bool(rel.max() <= tolerance) if rel.size else True,
         }
     max_err = max(g["max_rel_error"] for g in groups.values())

@@ -33,10 +33,6 @@ class Rir:
         return cls(np.zeros(length - 1), sample_rate)
 
     @property
-    def length(self):
-        return len(self.tail) + 1
-
-    @property
     def coefficients(self):
         return assemble(self.tail)
 
@@ -60,12 +56,6 @@ class RoomSpec:
             raise ValueError("t60 must be positive")
         if self.onset_delay < 1:
             raise ValueError("onset_delay must be >= 1")
-
-
-@dataclass
-class EnergyDecayCurve:
-    values: np.ndarray  # dB, one per RIR sample, values[0] == 0
-    sample_rate: int
 
 
 def assemble(tail):
@@ -107,23 +97,15 @@ def synth_rir(spec, length, sample_rate, min_decay_db=30.0):
     return Rir(tail, sample_rate)
 
 
-def _coeffs(h):
-    if isinstance(h, Rir):
-        return h.coefficients, h.sample_rate
-    return np.asarray(h, dtype=np.float64), None
-
-
-def edc(h, sample_rate=None):
-    """Schroeder energy decay curve in dB: tail energy from each sample on."""
-    coeffs, fs = _coeffs(h)
-    fs = sample_rate if sample_rate is not None else fs
-    energy = coeffs**2
+def edc(coeffs):
+    """Schroeder energy decay curve in dB: tail energy from each sample on,
+    relative to the total (so the first value is 0)."""
+    energy = np.asarray(coeffs, dtype=np.float64)**2
     total = energy.sum()
     if total <= 0:
         raise ValueError("all-zero RIR has no decay curve")
     remaining = np.cumsum(energy[::-1])[::-1]
-    values = 10.0 * np.log10(np.maximum(remaining / total, 1e-300))
-    return EnergyDecayCurve(values, fs)
+    return 10.0 * np.log10(np.maximum(remaining / total, 1e-300))
 
 
 def _line_fit_t60(idx, db, sample_rate):
@@ -134,34 +116,35 @@ def _line_fit_t60(idx, db, sample_rate):
     return -60.0 / slope
 
 
-def estimate_t60(h, sample_rate=None, fit_range=(-5.0, -25.0)):
-    """Reverberation time from a line fit to the Schroeder decay curve.
+def estimate_t60(h, sample_rate=None):
+    """Reverberation time of a Rir, or of coefficients at sample_rate.
 
-    Fits over the [-5, -25] dB window and extrapolates to -60 dB.  A bare
-    impulse (decay below -25 dB within two samples) returns 0.  When the
-    curve never reaches -25 dB before truncation effects take over, an
-    iterative truncation compensation extends the usable range; RIRs with
-    almost no measurable decay raise.
+    Fits a line to the Schroeder decay curve over the [-5, -25] dB window
+    and extrapolates to -60 dB.  A bare impulse (decay below -25 dB within
+    two samples) returns 0.  When the curve never reaches -25 dB before
+    truncation effects take over, an iterative truncation compensation
+    extends the usable range; RIRs with almost no measurable decay raise.
     """
-    curve = edc(h, sample_rate)
-    fs = curve.sample_rate
+    if isinstance(h, Rir):
+        coeffs, fs = h.coefficients, h.sample_rate
+    else:
+        coeffs, fs = np.asarray(h, dtype=np.float64), sample_rate
     if fs is None:
         raise ValueError("sample rate required")
-    db = curve.values
-    hi, lo = fit_range
-    below = np.nonzero(db <= lo)[0]
+    db = edc(coeffs)
+    below = np.nonzero(db <= -25.0)[0]
     if len(db) <= 2 or (below.size and below[0] <= 1):
         return 0.0  # bare impulse convention
-    start = int(np.argmax(db <= hi))
+    start = int(np.argmax(db <= -5.0))
     # Keep clear of the steep truncation artifact near the last samples.
     safe_end = max(start + 2, int(0.9 * (len(db) - 1)))
     if below.size and below[0] <= safe_end:
         idx = np.arange(start, below[0] + 1)
         return _line_fit_t60(idx, db[idx], fs)
-    return _truncated_decay_fit_t60(h, fs, start, safe_end)
+    return _truncated_decay_fit_t60(coeffs, fs, start, safe_end)
 
 
-def _truncated_decay_fit_t60(h, fs, start, end, t60_min=0.01, t60_max=3.0):
+def _truncated_decay_fit_t60(coeffs, fs, start, end, t60_min=0.01, t60_max=3.0):
     """Fit tail energies to alpha * rho^n + beta; robust to truncation.
 
     The additive beta absorbs the energy the truncated RIR never
@@ -169,7 +152,6 @@ def _truncated_decay_fit_t60(h, fs, start, end, t60_min=0.01, t60_max=3.0):
     curve stops well short of -25 dB.  Coarse geometric grid over T60
     candidates, then golden-section refinement.
     """
-    coeffs, _ = _coeffs(h)
     energy = coeffs**2
     remaining = np.cumsum(energy[::-1])[::-1]
     total = remaining[0]

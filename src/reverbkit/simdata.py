@@ -18,9 +18,6 @@ from .fileio import read_wav, write_wav
 from .rir import RoomSpec, synth_rir
 from .vocoder import F0Track, ToyVocoderParams, sine_source, vocoder_forward
 
-SPLITS = ("train", "val", "test_seen", "test_unseen")
-
-
 @dataclass
 class Utterance:
     utt_id: str
@@ -84,22 +81,20 @@ def gen_f0_track(seed, duration, fs, frame_shift):
     return F0Track(f0, vuv, frame_shift, fs)
 
 
-def _rich_fir(n_taps=24, seed=12345):
-    """Fixed spectrally rich shaping filter shared by every dry utterance."""
-    rng = np.random.default_rng(seed)
-    fir = np.zeros(n_taps)
+def _rich_fir():
+    """Fixed spectrally rich 24-tap shaping filter shared by every dry utterance."""
+    rng = np.random.default_rng(12345)
+    fir = np.zeros(24)
     fir[0] = 1.0
-    fir[1:] = 0.5 * rng.uniform(-1.0, 1.0, n_taps - 1) * (0.85 ** np.arange(1, n_taps))
+    fir[1:] = 0.5 * rng.uniform(-1.0, 1.0, 23) * (0.85 ** np.arange(1, 24))
     return ToyVocoderParams(fir)
 
 
-def synth_dry(seed, duration, fs, frame_shift=96, harmonics=8, amp=0.3,
-              shaping=None):
-    """One deterministic dry utterance plus its F0 track."""
-    track = gen_f0_track([seed, 1], duration, fs, frame_shift)
-    source = sine_source(track, harmonics, amp, seed=[seed, 2])
-    voc = shaping or _rich_fir()
-    dry, _ = vocoder_forward(voc, source)
+def synth_dry(seed, duration, fs):
+    """One deterministic dry utterance plus its F0 track (96-sample frames)."""
+    track = gen_f0_track([seed, 1], duration, fs, frame_shift=96)
+    source = sine_source(track, harmonics=8, amp=0.3, seed=[seed, 2])
+    dry, _ = vocoder_forward(_rich_fir(), source)
     return dry, track
 
 
@@ -113,12 +108,18 @@ def _f0_from_json(d):
                    d["frame_shift"], d["sample_rate"])
 
 
-def build_dataset(rooms, unseen_rooms, n_utts, duration, fs, out_dir, seed,
-                  n_unseen_utts=None, min_decay_db=0.0):
+def _room_rirs(rooms, fs):
+    """Each room's ground-truth RIR, by room_id."""
+    return {r.room_id: synth_rir(r, room_rir_length(r.t60, fs), fs, min_decay_db=0.0)
+            for r in rooms}
+
+
+def build_dataset(rooms, unseen_rooms, n_utts, duration, fs, out_dir, seed):
     """Write a dataset to out_dir and return its manifest.
 
     Seen-room utterances are split 90/5/5 (train/val/test_seen); a
-    separate batch over the unseen rooms forms test_unseen.  Rooms are
+    separate batch of n_utts // 10 (at least 1) utterances per unseen room
+    forms test_unseen.  Rooms are
     assigned round-robin.  Fully deterministic from the seed.
     """
     rooms = list(rooms)
@@ -133,11 +134,8 @@ def build_dataset(rooms, unseen_rooms, n_utts, duration, fs, out_dir, seed,
         raise ValueError("duplicate room_ids")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rirs = {r.room_id: synth_rir(r, room_rir_length(r.t60, fs), fs,
-                                 min_decay_db=min_decay_db) for r in all_rooms}
-    if n_unseen_utts is None:
-        n_unseen_utts = (max(1, n_utts // 10) * len(unseen_rooms)
-                         if unseen_rooms else 0)
+    rirs = _room_rirs(all_rooms, fs)
+    n_unseen_utts = max(1, n_utts // 10) * len(unseen_rooms)
 
     n_train = int(round(n_utts * 0.90))
     n_val = int(round(n_utts * 0.05))
@@ -206,8 +204,6 @@ def load_utterances(manifest, splits=("train",)):
     return utts
 
 
-def room_rirs(manifest, min_decay_db=0.0):
+def room_rirs(manifest):
     """Regenerate every room's ground-truth RIR from the manifest."""
-    return {rid: synth_rir(spec, room_rir_length(spec.t60, manifest.sample_rate),
-                           manifest.sample_rate, min_decay_db=min_decay_db)
-            for rid, spec in manifest.rooms.items()}
+    return _room_rirs(manifest.rooms.values(), manifest.sample_rate)

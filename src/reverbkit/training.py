@@ -41,9 +41,7 @@ class TrainHyper:
 
 @dataclass
 class TrainReport:
-    seed: int
     records: list = field(default_factory=list)
-    wall_s: float = 0.0
     final_checksum: int = 0
 
     def log(self, step, main_loss, secondary_loss=None, wall_ms=0.0):
@@ -129,12 +127,11 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
     """
     adam = adam or AdamState(lr=hyper.lr, beta1=hyper.beta1,
                              beta2=hyper.beta2, eps=hyper.eps)
-    report = report or TrainReport(seed=seed)
+    report = report or TrainReport()
     params = dict(model.params)
     if voc is not None:
         params["voc.fir"] = voc.fir
         sec_cfg = default_stft_config(dataset[0].dry.sample_rate)
-    t0 = time.perf_counter()
     for step in range(start_step, start_step + steps):
         ts = time.perf_counter()
         idx = [int(i) for i in _batch_indices(seed, step, len(dataset), batch_size)]
@@ -169,7 +166,6 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
         sec = None if voc is None else hyper.secondary_weight * sec_total / len(idx)
         report.log(step, total / len(idx), sec,
                    wall_ms=(time.perf_counter() - ts) * 1e3)
-    report.wall_s += time.perf_counter() - t0
     report.final_checksum = params_checksum(params)
     return adam, report
 
@@ -184,9 +180,9 @@ def train_gti(dataset, rir_len, steps, hyper=None, seed=0,
     return gti, adam, report
 
 
-def reverb_las(dataset, cfg=None):
+def reverb_las(dataset):
     """LAS of each utterance's natural reverberant waveform (estimator input)."""
-    return [las(utt.reverb, cfg).values for utt in dataset]
+    return [las(utt.reverb).values for utt in dataset]
 
 
 def train_utv(dataset, params_init, steps, hyper=None, seed=0,

@@ -31,10 +31,6 @@ class F0Track:
         if np.any(self.vuv & (self.f0 <= 0)):
             raise ValueError("voiced frames must have positive f0")
 
-    @property
-    def n_samples(self):
-        return len(self.f0) * self.frame_shift
-
 
 @dataclass
 class ToyVocoderParams:

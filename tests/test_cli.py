@@ -194,3 +194,76 @@ def test_unknown_command_is_exit_2(capsys):
     rc = run(["frobnicate"])
     capsys.readouterr()
     assert rc == 2
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(lines) == 1 and err.rstrip().endswith(lines[0])
+    return lines[0]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]",
+                                     '{"train-gti": [1, 2]}'])
+def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    rc = run(["--out", str(tmp_path), "--config", str(cfg), "train-gti",
+              "--manifest", str(dataset / "manifest.json")])
+    assert rc == 1
+    _one_line_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def gti_ckpt(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("gti")
+    rc = run(["--out", str(out), "train-gti", "--manifest",
+              str(dataset / "manifest.json"), "--rir-len", "32", "--steps", "1",
+              "--loss", "wave"])
+    assert rc == 0
+    return out / "gti.ckpt"
+
+
+def test_evaluate_with_gti_ckpt_is_runtime_error(dataset, gti_ckpt, capsys):
+    capsys.readouterr()
+    rc = run(["evaluate", "--manifest", str(dataset / "manifest.json"),
+              "--model", str(gti_ckpt)])
+    assert rc == 1
+    assert "utv.W_z" in _one_line_error(capsys)
+
+
+def test_apply_with_gti_ckpt_is_runtime_error(dataset, gti_ckpt, tmp_path, capsys):
+    capsys.readouterr()
+    wav = dataset / "utt0000_rev.wav"
+    rc = run(["apply", "--dry", str(wav), "--ckpt", str(gti_ckpt),
+              "--las-source", str(wav), "--out-wav", str(tmp_path / "o.wav")])
+    assert rc == 1
+    assert "utv.W_z" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command,result_key", [("train-gti", "rir"),
+                                                ("train-utv", "ckpt"),
+                                                ("train-mt", "ckpt")])
+def test_train_zero_steps_prints_null_final_loss(dataset, tmp_path, capsys,
+                                                 command, result_key):
+    extra = [] if command == "train-gti" else ["--hidden", "4", "--channels", "4",
+                                                "--kernel", "3"]
+    rc = run(["--out", str(tmp_path), command, "--manifest",
+              str(dataset / "manifest.json"), "--rir-len", "32", "--steps", "0"]
+             + extra)
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == [result_key, "final_loss", "checksum"]
+    assert out["final_loss"] is None
+
+
+def test_truncated_wav_is_runtime_error(tmp_path, capsys):
+    p = tmp_path / "dry.wav"
+    write_wav(p, Waveform(np.zeros(100), 8000), bit_depth=32)
+    p.write_bytes(p.read_bytes()[:-200])  # data chunk now runs past the end
+    rc = run(["apply", "--dry", str(p), "--rir", str(tmp_path / "x.rir"),
+              "--out-wav", str(tmp_path / "o.wav")])
+    assert rc == 1
+    assert "past the end" in _one_line_error(capsys)

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -94,6 +95,28 @@ def test_wav_rejects_unknown_encoding(tmp_path):
         read_wav(p)
 
 
+def _wav_bytes(fmt, data, data_size=None):
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+            + struct.pack("<I", len(data) if data_size is None else data_size) + data)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def test_wav_rejects_short_fmt_chunk(tmp_path):
+    p = tmp_path / "x.wav"
+    p.write_bytes(_wav_bytes(struct.pack("<HHII", 1, 1, 8000, 16000), b"\x00" * 8))
+    with pytest.raises(FormatError, match="fmt chunk too short"):
+        read_wav(p)
+
+
+def test_wav_rejects_data_past_end_of_file(tmp_path):
+    # 100 PCM16 samples declared, 50 present: no silent truncation
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+    p = tmp_path / "x.wav"
+    p.write_bytes(_wav_bytes(fmt, b"\x00" * 100, data_size=200))
+    with pytest.raises(FormatError, match="past the end"):
+        read_wav(p)
+
+
 def test_wav_bad_bit_depth(tmp_path):
     with pytest.raises(FormatError):
         write_wav(tmp_path / "a.wav", Waveform(np.zeros(4), 8000), bit_depth=24)
@@ -182,6 +205,16 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "m.ckpt"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(FormatError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_rejects_payload_shorter_than_entry_table(tmp_path):
+    # CRC-valid payload that declares one entry but holds none
+    payload = struct.pack("<I", 1)
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(b"CKP1" + struct.pack("<I", 1) + payload
+                  + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(FormatError, match="entry table"):
         load_checkpoint(p)
 
 

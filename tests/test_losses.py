@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from reverbkit.checks import check_mrsd, check_secondary
-from reverbkit.dsp import StftConfig, Waveform, _window, fft
+from reverbkit.dsp import StftConfig, _window, fft
 from reverbkit.losses import (DESK_MRSD, MrsdConfig, _grad_through_stft,
-                              mrsd_loss, secondary_dry_loss, waveform_mse_loss)
+                              _pearson_loss, _spectral_mse, mrsd_loss,
+                              secondary_dry_loss, waveform_mse_loss)
 
 TINY = MrsdConfig((
     StftConfig(fft_size=64, frame_length=48, frame_shift=16),
@@ -92,15 +93,6 @@ def test_stft_gradient_overlap_add_matches_frame_loop():
     assert np.array_equal(_grad_through_stft(gspec, cfg, n_samples), want)
 
 
-def test_mrsd_waveform_wrapper():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal(256)
-    y = rng.standard_normal(256)
-    a, _ = mrsd_loss(Waveform(x, 8000), Waveform(y, 8000), TINY)
-    b, _ = mrsd_loss(x, y, TINY)
-    assert a == b
-
-
 def test_mrsd_default_config_is_desk():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(2000)
@@ -133,19 +125,11 @@ def test_secondary_correlation_term():
     # anti-correlated signals: correlation loss alone contributes ~2
     cfg = StftConfig(fft_size=64, frame_length=48, frame_shift=16)
     x = np.sin(np.linspace(0, 20, 256))
-    la, _ = secondary_dry_loss(x, -x, las_cfg=cfg, weights=(0.0, 0.0, 1.0))
+    la, _ = _pearson_loss(x, -x)
     assert abs(la - 2.0) <= 1e-6
-
-
-def test_secondary_weights_select_terms():
-    cfg = StftConfig(fft_size=64, frame_length=48, frame_shift=16)
-    rng = np.random.default_rng(10)
-    g = rng.standard_normal(256)
-    r = rng.standard_normal(256)
-    full, _ = secondary_dry_loss(g, r, las_cfg=cfg, weights=(1.0, 1.0, 1.0))
-    parts = sum(secondary_dry_loss(g, r, las_cfg=cfg, weights=w)[0]
-                for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert abs(full - parts) <= 1e-12
+    # the secondary loss is the unit-weight sum of its three terms
+    full, _ = secondary_dry_loss(x, -x, las_cfg=cfg)
+    assert full == _spectral_mse(x, -x, cfg)[0] + waveform_mse_loss(x, -x)[0] + la
 
 
 def test_secondary_gradient_check():
@@ -164,7 +148,7 @@ def test_secondary_constant_signal_guarded():
 
 def test_secondary_length_mismatch():
     with pytest.raises(ValueError):
-        secondary_dry_loss(np.zeros(10), np.zeros(11))
+        secondary_dry_loss(np.zeros(10), np.zeros(11), las_cfg=TINY.resolutions[0])
 
 
 def test_mrsd_grad_descent_direction():

@@ -54,13 +54,13 @@ def test_batch_indices_bounds():
 
 
 def test_report_rejects_nonfinite():
-    rep = TrainReport(seed=0)
+    rep = TrainReport()
     with pytest.raises(ValueError):
         rep.log(0, np.nan)
 
 
 def test_report_jsonl(tmp_path):
-    rep = TrainReport(seed=0)
+    rep = TrainReport()
     rep.log(0, 1.0, 0.5)
     rep.log(1, 0.9)
     p = tmp_path / "r.jsonl"

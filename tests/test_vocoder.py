@@ -19,10 +19,6 @@ def test_track_validation():
     F0Track([0.0], [False], 80, 8000)
 
 
-def test_track_n_samples():
-    assert flat_track(frames=7, frame_shift=96).n_samples == 7 * 96
-
-
 def test_vocoder_params_unit_tap():
     with pytest.raises(ValueError):
         ToyVocoderParams(np.array([0.5, 0.2]))
