@@ -86,12 +86,13 @@ def _build_parser():
 
     s = sub.add_parser("gradcheck", help="verify every analytic gradient path")
     s.add_argument("--module", default="all",
-                   choices=list(checks.GROUPS))
+                   choices=["all", *checks.ALL_CHECKS])
     return p
 
 
 def _resolve(args):
-    cfg = dict(DEFAULTS.get(args.command, {}))
+    defaults = DEFAULTS.get(args.command, {})
+    cfg = dict(defaults)
     if args.config:
         overlay = json.loads(args.config.read_text(encoding="utf-8"))
         if isinstance(overlay, dict):
@@ -99,6 +100,15 @@ def _resolve(args):
         if not isinstance(overlay, dict):
             raise ValueError(f"{args.config}: the config and its {args.command!r} "
                              f"section must be JSON objects")
+        # A value must have its default's type: an int may stand for a
+        # float, a bool for neither.  A None default takes any value.
+        for key, val in overlay.items():
+            default = defaults.get(key)
+            kinds = (int, float) if isinstance(default, float) else (type(default),)
+            if default is not None and (isinstance(val, bool)
+                                        or not isinstance(val, kinds)):
+                raise ValueError(f"{args.config}: {key!r} must be "
+                                 f"{type(default).__name__}, not {type(val).__name__}")
         cfg.update(overlay)
     for key, val in vars(args).items():
         if key in ("config", "command"):
@@ -116,7 +126,10 @@ def _load_rooms(path):
     d = json.loads(Path(path).read_text(encoding="utf-8"))
     mk = lambda r: RoomSpec(r["room_id"], r["t60"], r.get("direct_to_reverb_db", 2.0),
                             r.get("onset_delay", 1), r["seed"])
-    return [mk(r) for r in d["seen"]], [mk(r) for r in d.get("unseen", [])]
+    try:
+        return [mk(r) for r in d["seen"]], [mk(r) for r in d.get("unseen", [])]
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
 
 
 def _cmd_simulate(cfg):
@@ -182,7 +195,7 @@ def _cmd_train_mt(cfg):
     voc = ToyVocoderParams.identity(cfg["fir_taps"])
     voc, est, adam, report = train_mt(utts, voc, est, cfg["steps"],
                                       _hyper(cfg), seed=cfg["seed"])
-    return _train_epilogue(out, "mt", {"voc.fir": voc.fir, **est.as_dict("utv.")},
+    return _train_epilogue(out, "mt", {"voc.tail": voc.tail, **est.as_dict("utv.")},
                            adam, report, {"ckpt": str(out / "mt.ckpt")})
 
 

@@ -84,10 +84,8 @@ def gen_f0_track(seed, duration, fs, frame_shift):
 def _rich_fir():
     """Fixed spectrally rich 24-tap shaping filter shared by every dry utterance."""
     rng = np.random.default_rng(12345)
-    fir = np.zeros(24)
-    fir[0] = 1.0
-    fir[1:] = 0.5 * rng.uniform(-1.0, 1.0, 23) * (0.85 ** np.arange(1, 24))
-    return ToyVocoderParams(fir)
+    return ToyVocoderParams(0.5 * rng.uniform(-1.0, 1.0, 23)
+                            * (0.85 ** np.arange(1, 24)))
 
 
 def synth_dry(seed, duration, fs):
@@ -183,10 +181,13 @@ def build_dataset(rooms, unseen_rooms, n_utts, duration, fs, out_dir, seed):
 def load_manifest(path):
     path = Path(path)
     d = json.loads(path.read_text(encoding="utf-8"))
-    rooms = {r["room_id"]: RoomSpec(r["room_id"], r["t60"],
-                                    r["direct_to_reverb_db"], r["onset_delay"],
-                                    r["seed"]) for r in d["rooms"]}
-    return DatasetManifest(d["entries"], rooms, d["sample_rate"], path.parent)
+    try:
+        rooms = {r["room_id"]: RoomSpec(r["room_id"], r["t60"],
+                                        r["direct_to_reverb_db"], r["onset_delay"],
+                                        r["seed"]) for r in d["rooms"]}
+        return DatasetManifest(d["entries"], rooms, d["sample_rate"], path.parent)
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
 
 
 def load_utterances(manifest, splits=("train",)):

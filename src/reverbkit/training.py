@@ -30,7 +30,6 @@ class TrainHyper:
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 4
     loss: str = "mrsd"  # or "wave"
     mrsd: object = DESK_MRSD
@@ -125,12 +124,11 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
     vocoder, to the FIR, plus the secondary loss on the dry output).
     Gradients and losses are averaged over the batch before one Adam step.
     """
-    adam = adam or AdamState(lr=hyper.lr, beta1=hyper.beta1,
-                             beta2=hyper.beta2, eps=hyper.eps)
+    adam = adam or AdamState(lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2)
     report = report or TrainReport()
     params = dict(model.params)
     if voc is not None:
-        params["voc.fir"] = voc.fir
+        params["voc.tail"] = voc.tail
         sec_cfg = default_stft_config(dataset[0].dry.sample_rate)
     for step in range(start_step, start_step + steps):
         ts = time.perf_counter()
@@ -153,16 +151,12 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
                 if hyper.secondary_weight != 0.0:
                     sec_l, sec_g = secondary_dry_loss(dry, utt.dry.samples,
                                                       las_cfg=sec_cfg)
-                grads["voc.fir"], _ = vocoder_backward(
+                grads["voc.tail"] = vocoder_backward(
                     voc, vcache, cg.grad_dry + hyper.secondary_weight * sec_g)
                 sec_total += sec_l
             total += loss
             acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
         adam_step(adam, params, {k: g / len(idx) for k, g in acc.items()})
-        # The masked FIR gradient keeps the unit tap exact; anything else is a fault.
-        if voc is not None and voc.fir[0] != 1.0:
-            raise ValueError(f"vocoder tap fir[0] is {voc.fir[0]!r}, not 1.0, "
-                             f"after step {step}")
         sec = None if voc is None else hyper.secondary_weight * sec_total / len(idx)
         report.log(step, total / len(idx), sec,
                    wall_ms=(time.perf_counter() - ts) * 1e3)

@@ -2,8 +2,8 @@
 
 Stands in for a full neural vocoder so that joint and multi-task
 training of the reverberation module have a trainable dry branch.  The
-FIR's first tap is fixed to 1, mirroring the RIR's direct-path
-constraint.
+FIR's first tap is fixed to 1 and, like the RIR's direct path, is not a
+parameter: only the taps after it (the tail) are stored and trained.
 """
 
 from dataclasses import dataclass
@@ -12,6 +12,7 @@ import numpy as np
 
 from .convolve import convolve_fft, convolve_grad
 from .dsp import Waveform
+from .rir import assemble
 
 
 @dataclass
@@ -34,20 +35,22 @@ class F0Track:
 
 @dataclass
 class ToyVocoderParams:
-    """FIR taps, tap 0 fixed to 1."""
+    """FIR taps after the fixed unit tap; fir is [1, tail...]."""
 
-    fir: np.ndarray
+    tail: np.ndarray
 
     def __post_init__(self):
-        self.fir = np.asarray(self.fir, dtype=np.float64)
-        if len(self.fir) < 1 or self.fir[0] != 1.0:
-            raise ValueError("fir must be non-empty with fir[0] == 1")
+        self.tail = np.asarray(self.tail, dtype=np.float64)
 
     @classmethod
     def identity(cls, n_taps=32):
-        fir = np.zeros(n_taps)
-        fir[0] = 1.0
-        return cls(fir)
+        if n_taps < 1:
+            raise ValueError("the FIR needs at least one tap")
+        return cls(np.zeros(n_taps - 1))
+
+    @property
+    def fir(self):
+        return assemble(self.tail)
 
 
 def sine_source(track, harmonics, amp, seed):
@@ -76,17 +79,13 @@ def sine_source(track, harmonics, amp, seed):
 
 
 def vocoder_forward(params, source):
-    """Filter the source: d = source * fir, truncated to the source length."""
-    out = convolve_fft(source, params.fir)
-    cache = {"source": source, "fir": params.fir.copy()}
-    return out, cache
+    """Filter the source: d = source * fir, truncated to the source length.
+
+    The cache is the source: the FIR gradient does not depend on the FIR.
+    """
+    return convolve_fft(source, params.fir), source
 
 
 def vocoder_backward(params, cache, grad_dry):
-    """Gradients w.r.t. the FIR taps (tap 0 masked) and the source samples."""
-    if cache["fir"].shape != params.fir.shape or np.any(cache["fir"] != params.fir):
-        raise ValueError("cache does not match the given parameters")
-    cg = convolve_grad(cache["source"], params.fir, grad_dry)
-    grad_fir = cg.grad_rir
-    grad_fir[0] = 0.0  # the unit tap is structural, never trained
-    return grad_fir, cg.grad_dry
+    """Gradient w.r.t. the FIR tail; the unit tap is not a parameter."""
+    return convolve_grad(cache, params.fir, grad_dry, wrt_dry=False).grad_rir[1:]

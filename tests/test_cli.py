@@ -139,12 +139,14 @@ def test_evaluate_with_utv_ckpt(dataset, tmp_path, capsys):
     assert "rooms" in rep
 
 
-def test_gradcheck_command(capsys):
-    rc = run(["gradcheck", "--module", "vocoder"])
+@pytest.mark.parametrize("module", ["vocoder", "mrsd"])
+def test_gradcheck_command(capsys, module):
+    rc = run(["gradcheck", "--module", module])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["passed"]
-    assert out["checks"]["vocoder"]["passed"]
+    assert list(out["checks"]) == [module]
+    assert out["checks"][module]["passed"]
 
 
 def test_config_file_overrides_defaults(dataset, tmp_path, capsys):
@@ -157,6 +159,16 @@ def test_config_file_overrides_defaults(dataset, tmp_path, capsys):
     capsys.readouterr()
     report = (tmp_path / "train_gti_report.jsonl").read_text().strip().split("\n")
     assert len(report) == 2
+
+
+def test_config_int_stands_for_float(dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train-gti": {"steps": 1, "loss": "wave",
+                                             "rir_len": 32, "lr": 0}}))
+    rc = run(["--out", str(tmp_path), "--config", str(cfg), "train-gti",
+              "--manifest", str(dataset / "manifest.json")])
+    capsys.readouterr()
+    assert rc == 0
 
 
 def test_flag_overrides_config(dataset, tmp_path, capsys):
@@ -205,7 +217,9 @@ def _one_line_error(capsys):
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]",
-                                     '{"train-gti": [1, 2]}'])
+                                     '{"train-gti": [1, 2]}',
+                                     '{"train-gti": {"steps": "3"}}',
+                                     '{"train-gti": {"lr": true}}'])
 def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -213,7 +227,33 @@ def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
     rc = run(["--out", str(tmp_path), "--config", str(cfg), "train-gti",
               "--manifest", str(dataset / "manifest.json")])
     assert rc == 1
-    _one_line_error(capsys)
+    err = _one_line_error(capsys)
+    for key in ("steps", "lr"):
+        if f'"{key}"' in (content or ""):
+            assert repr(key) in err
+
+
+@pytest.mark.parametrize("content,key", [("{}", "seen"),
+                                         ('{"seen": [{}]}', "room_id")])
+def test_rooms_file_missing_key_is_runtime_error(tmp_path, capsys, content, key):
+    rooms = tmp_path / "rooms.json"
+    rooms.write_text(content)
+    rc = run(["--out", str(tmp_path / "data"), "simulate", "--rooms", str(rooms),
+              "--utts", "2", "--duration", "0.1"])
+    assert rc == 1
+    assert repr(key) in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("content,key", [("{}", "rooms"),
+                                         ('{"rooms": []}', "entries"),
+                                         ('{"rooms": [], "entries": []}',
+                                          "sample_rate")])
+def test_manifest_missing_key_is_runtime_error(tmp_path, capsys, content, key):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(content)
+    rc = run(["--out", str(tmp_path), "train-gti", "--manifest", str(manifest)])
+    assert rc == 1
+    assert repr(key) in _one_line_error(capsys)
 
 
 @pytest.fixture(scope="module")

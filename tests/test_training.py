@@ -6,8 +6,8 @@ from reverbkit.dsp import StftConfig
 from reverbkit.estimator import UtvEstimatorParams
 from reverbkit.fileio import load_checkpoint, save_checkpoint
 from reverbkit.losses import MrsdConfig
-from reverbkit.optim import AdamState
-from reverbkit.rir import GtiRir, RoomSpec, assemble, synth_rir
+from reverbkit.optim import AdamState, grad_check
+from reverbkit.rir import GtiRir, Rir, RoomSpec, assemble, synth_rir
 from reverbkit.simdata import Utterance, synth_dry
 from reverbkit.training import (TrainHyper, TrainReport, _batch_indices,
                                 params_checksum, train_gti, train_mt,
@@ -216,12 +216,25 @@ def test_train_mt_utv_runs():
     assert len(rep.records) == 8
 
 
-def test_train_mt_rejects_moved_vocoder_tap():
-    utts, _ = tiny_dataset(n=3)
-    voc = ToyVocoderParams.identity(8)
-    voc.fir[0] = 2.0
-    with pytest.raises(ValueError, match="step 0"):
-        train_mt(utts, voc, GtiRir.zeros(64, FS), 1, mrsd_hyper(), seed=0)
+def test_train_mt_applied_gradient_matches_finite_differences():
+    # After one step at batch 1, adam.m / (1 - beta1) is the gradient the loop
+    # applied: the main loss through both convolutions plus the weighted
+    # secondary loss on the dry output, back to the GTI and FIR tails.
+    utts, _ = tiny_dataset(n=1, duration=0.06, rir_len=16)
+    hy = TrainHyper(loss="mrsd", mrsd=TINY_MRSD, secondary_weight=1.0)
+    rng = np.random.default_rng(7)
+    tails = {"gti.tail": 0.1 * rng.standard_normal(15),
+             "voc.tail": 0.1 * rng.standard_normal(7)}
+
+    def one_step(p):
+        _, _, adam, rep = train_mt(utts, ToyVocoderParams(p["voc.tail"].copy()),
+                                   Rir(p["gti.tail"].copy(), FS), 1, hy, seed=0)
+        rec = rep.records[0]
+        return (rec["main_loss"] + rec["secondary_loss"],
+                {k: adam.m[k] / (1.0 - hy.beta1) for k in p})
+
+    report = grad_check(one_step, tails, eps=1e-6, tolerance=1e-5)
+    assert report["passed"], report
 
 
 def test_train_mt_secondary_weight_zero_skips_secondary():

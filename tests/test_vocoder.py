@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reverbkit.convolve import convolve_grad
 from reverbkit.vocoder import (F0Track, ToyVocoderParams, sine_source,
                                vocoder_backward, vocoder_forward)
 
@@ -20,10 +21,14 @@ def test_track_validation():
 
 
 def test_vocoder_params_unit_tap():
-    with pytest.raises(ValueError):
-        ToyVocoderParams(np.array([0.5, 0.2]))
+    p = ToyVocoderParams(np.array([0.5, 0.2]))
+    assert np.array_equal(p.fir, [1.0, 0.5, 0.2])
     p = ToyVocoderParams.identity(8)
+    assert p.tail.shape == (7,)
     assert p.fir[0] == 1.0 and np.all(p.fir[1:] == 0)
+    assert ToyVocoderParams.identity(1).fir.shape == (1,)
+    with pytest.raises(ValueError):
+        ToyVocoderParams.identity(0)
 
 
 def test_sine_source_deterministic():
@@ -98,7 +103,7 @@ def test_vocoder_identity_filter():
 
 def test_vocoder_output_length():
     src = sine_source(flat_track(), 4, 0.3, seed=0)
-    p = ToyVocoderParams(np.array([1.0, 0.4, -0.2]))
+    p = ToyVocoderParams(np.array([0.4, -0.2]))
     out, _ = vocoder_forward(p, src)
     assert len(out.samples) == len(src.samples)
 
@@ -106,48 +111,41 @@ def test_vocoder_output_length():
 def test_vocoder_two_tap_hand_case():
     src = np.array([1.0, 2.0, 3.0])
     from reverbkit.dsp import Waveform
-    out, _ = vocoder_forward(ToyVocoderParams(np.array([1.0, 0.5])),
+    out, _ = vocoder_forward(ToyVocoderParams(np.array([0.5])),
                              Waveform(src, 8000))
     assert np.allclose(out.samples, [1.0, 2.5, 4.0])
 
 
 def test_vocoder_backward_masks_unit_tap():
+    # the gradient covers the tail only: the unit tap is not a parameter
     src = sine_source(flat_track(frames=4), 2, 0.3, seed=0)
-    p = ToyVocoderParams(np.array([1.0, 0.3, -0.1, 0.05]))
+    p = ToyVocoderParams(np.array([0.3, -0.1, 0.05]))
     out, cache = vocoder_forward(p, src)
-    gfir, gsrc = vocoder_backward(p, cache, np.ones(len(out.samples)))
-    assert gfir[0] == 0.0
-    assert gfir.shape == p.fir.shape
-    assert gsrc.shape == (len(src.samples),)
+    g = np.ones(len(out.samples))
+    gtail = vocoder_backward(p, cache, g)
+    assert gtail.shape == p.tail.shape
+    assert np.array_equal(gtail, convolve_grad(src, p.fir, g).grad_rir[1:])
 
 
 def test_vocoder_backward_finite_differences():
     rng = np.random.default_rng(0)
     from reverbkit.dsp import Waveform
     src = Waveform(rng.standard_normal(64), 8000)
-    fir = np.concatenate(([1.0], 0.1 * rng.standard_normal(7)))
-    p = ToyVocoderParams(fir.copy())
+    tail = 0.1 * rng.standard_normal(7)
+    p = ToyVocoderParams(tail.copy())
     ref = rng.standard_normal(64)
 
-    def loss_of(firv):
-        out, _ = vocoder_forward(ToyVocoderParams(firv), src)
+    def loss_of(tailv):
+        out, _ = vocoder_forward(ToyVocoderParams(tailv), src)
         d = out.samples - ref
         return 0.5 * float(d @ d)
 
     out, cache = vocoder_forward(p, src)
-    gfir, _ = vocoder_backward(p, cache, out.samples - ref)
+    gtail = vocoder_backward(p, cache, out.samples - ref)
     eps = 1e-6
-    for k in range(1, 8):
-        fp = fir.copy(); fp[k] += eps
-        fm = fir.copy(); fm[k] -= eps
-        num = (loss_of(fp) - loss_of(fm)) / (2 * eps)
-        assert abs(num - gfir[k]) <= 1e-6 * max(abs(num), 1.0)
+    for k in range(7):
+        tp = tail.copy(); tp[k] += eps
+        tm = tail.copy(); tm[k] -= eps
+        num = (loss_of(tp) - loss_of(tm)) / (2 * eps)
+        assert abs(num - gtail[k]) <= 1e-6 * max(abs(num), 1.0)
 
-
-def test_vocoder_backward_stale_cache_raises():
-    src = sine_source(flat_track(frames=4), 2, 0.3, seed=0)
-    p = ToyVocoderParams(np.array([1.0, 0.3]))
-    _, cache = vocoder_forward(p, src)
-    p.fir[1] = 0.9
-    with pytest.raises(ValueError):
-        vocoder_backward(p, cache, np.zeros(len(src.samples)))
