@@ -8,8 +8,8 @@ analysis on synthetic rooms with known ground truth.
 """
 
 from .convolve import ConvGrad, convolve_direct, convolve_fft, convolve_grad
-from .dsp import (AMPLITUDE_FLOOR, LasFrames, StftConfig, Waveform, fft, las,
-                  log_amplitude, stft)
+from .dsp import (AMPLITUDE_FLOOR, LasFrames, StftConfig, Waveform, fft, irfft,
+                  las, log_amplitude, rfft, stft)
 from .estimator import (UtvEstimatorParams, estimator_backward,
                         estimator_forward, gru_forward, temporal_avg_pool)
 from .fileio import (FormatError, load_checkpoint, read_rir, read_wav,

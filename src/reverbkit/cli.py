@@ -123,13 +123,15 @@ def _resolve(args):
 def _load_rooms(path):
     if path is None:
         return simdata.DESK_SEEN_ROOMS, simdata.DESK_UNSEEN_ROOMS
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    mk = lambda r: RoomSpec(r["room_id"], r["t60"], r.get("direct_to_reverb_db", 2.0),
-                            r.get("onset_delay", 1), r["seed"])
-    try:
-        return [mk(r) for r in d["seen"]], [mk(r) for r in d.get("unseen", [])]
-    except KeyError as e:
-        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+    d = simdata.require_keys(json.loads(Path(path).read_text(encoding="utf-8")),
+                             ("seen",), path)
+
+    def mk(group, i, r):
+        simdata.require_keys(r, ("room_id", "t60", "seed"), f"{path}: {group} room {i}")
+        return RoomSpec(r["room_id"], r["t60"], r.get("direct_to_reverb_db", 2.0),
+                        r.get("onset_delay", 1), r["seed"])
+    return ([mk("seen", i, r) for i, r in enumerate(d["seen"])],
+            [mk("unseen", i, r) for i, r in enumerate(d.get("unseen", []))])
 
 
 def _cmd_simulate(cfg):

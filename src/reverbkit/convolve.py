@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, fft
+from .dsp import Waveform, irfft, rfft
 
 
 @dataclass
@@ -41,8 +41,7 @@ def convolve_direct(d, h):
 def linear_conv_fft(a, b):
     """Full linear convolution of two 1-D arrays via zero-padded FFT."""
     n = _next_pow2(len(a) + len(b) - 1)
-    c = fft(fft(a, n) * fft(b, n), n, inverse=True)
-    return np.real(c[: len(a) + len(b) - 1])
+    return irfft(rfft(a, n) * rfft(b, n), n)[: len(a) + len(b) - 1]
 
 
 def convolve_fft(d, h):
@@ -61,12 +60,15 @@ def convolve_fft(d, h):
 def convolve_grad(d, h, grad_r, wrt_dry=True):
     """Gradients of the truncated convolution w.r.t. both inputs.
 
-    With r_t = sum_k h_k d_{t-k+1} (output truncated to T):
-      grad_rir_k = sum_t grad_r_t d_{t-k+1}
-      grad_dry_s = sum_t grad_r_t h_{t-s+1}
-    Both are cross-correlations, computed here as FFT convolutions with
-    a reversed second operand.  With wrt_dry=False the dry gradient is
-    skipped (grad_dry is None) for callers whose dry input is fixed.
+    With r_t = sum_k h_k d_{t-k} (0-based, output truncated to T):
+      grad_rir_k = sum_t grad_r_t d_{t-k}
+      grad_dry_s = sum_t grad_r_t h_{t-s}
+    Both are cross-correlations, taken here as circular correlations
+    irfft(G * conj(D)) and irfft(G * conj(H)) at the forward pass's size
+    n = next_pow2(T + L - 1), where lags that wrap around land on zero
+    padding.  RIR taps k >= T see no signal and get exactly 0.  With
+    wrt_dry=False the dry gradient is skipped (grad_dry is None) for
+    callers whose dry input is fixed.
     """
     dd = _as_array(d)
     hh = _as_array(h)
@@ -74,13 +76,11 @@ def convolve_grad(d, h, grad_r, wrt_dry=True):
     T, L = len(dd), len(hh)
     if len(g) != T:
         raise ValueError("grad_r length must match the dry length")
-    # corr(g, d)[k] = conv(g, reverse(d))[T-1+k], k in [0, L)
-    c = linear_conv_fft(g, dd[::-1])
-    grad_rir = c[T - 1 : T - 1 + L].copy()
-    if len(grad_rir) < L:  # L > T: positions beyond the signal get no gradient
-        grad_rir = np.pad(grad_rir, (0, L - len(grad_rir)))
+    n = _next_pow2(T + L - 1)
+    G = rfft(g, n)
+    grad_rir = irfft(G * np.conj(rfft(dd, n)), n)[:L].copy()
+    grad_rir[T:] = 0.0  # rounding residue, not gradient
     grad_dry = None
     if wrt_dry:
-        c = linear_conv_fft(g, hh[::-1])
-        grad_dry = c[L - 1 : L - 1 + T].copy()
+        grad_dry = irfft(G * np.conj(rfft(hh, n)), n)[:T].copy()
     return ConvGrad(grad_dry=grad_dry, grad_rir=grad_rir)

@@ -1,8 +1,10 @@
-"""Spectral primitives: FFT, STFT and log amplitude spectra.
+"""Spectral primitives: FFT, real-input FFT, STFT and log amplitude spectra.
 
 Everything here is a pure function of its inputs and runs in double
 precision.  The FFT is an in-house vectorized radix-2 implementation so
-results are bit-for-bit reproducible across installations.
+results are bit-for-bit reproducible across installations.  Real signals
+go through `rfft`/`irfft`, which pack n real samples into one n/2-point
+complex `fft` (Sorensen et al., IEEE TASSP 1987).
 """
 
 import math
@@ -147,6 +149,84 @@ def fft(x, n, inverse=False):
     return out
 
 
+@lru_cache(maxsize=64)
+def _split_twiddles(n):
+    """a_k = (1 - i w^k)/2 and b_k = (1 + i w^k)/2, w = exp(-2*pi*i/n), k < n/2.
+
+    The split step of a real transform: X_k = a_k Z_k + b_k conj(Z_{n/2-k}),
+    and its inverse Z_k = conj(a_k) X_k + conj(b_k) conj(X_{n/2-k}).
+    """
+    w = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    a, b = 0.5 - 0.5j * w, 0.5 + 0.5j * w
+    return a, b, np.conj(a), np.conj(b)
+
+
+def rfft(x, n):
+    """Bins 0..n/2 of the FFT of real x along its last axis, zero-padded to n.
+
+    Even and odd samples become the real and imaginary parts of one
+    n/2-point complex `fft`; an O(n) split step separates their spectra.
+    Rows go through in blocks, so each split step reads a transform
+    that is still in cache.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not _is_pow2(n):
+        raise ValueError("transform size must be a power of two")
+    if x.shape[-1] > n:
+        raise ValueError("transform size smaller than the input")
+    if n == 1:
+        return fft(x, 1)
+    lead, h = x.shape[:-1], n // 2
+    rows = x.reshape(math.prod(lead), x.shape[-1])
+    if rows.shape[1] % 2:
+        rows = np.concatenate([rows, np.zeros((rows.shape[0], 1))], axis=1)
+    z = np.ascontiguousarray(rows).view(np.complex128)
+    a, b, _, _ = _split_twiddles(n)
+    out = np.empty((z.shape[0], h + 1), dtype=np.complex128)
+    block = max(1, _FFT_BLOCK_POINTS // h)
+    for r in range(0, z.shape[0], block):
+        Z = fft(z[r : r + block], h)
+        o = out[r : r + block]
+        zr = np.empty_like(Z)  # conj(Z_{(h-k) mod h})
+        np.conjugate(Z[:, :1], out=zr[:, :1])
+        np.conjugate(Z[:, :0:-1], out=zr[:, 1:])
+        np.multiply(Z, a, out=o[:, :h])
+        zr *= b
+        o[:, :h] += zr
+        o[:, h] = Z[:, 0].real - Z[:, 0].imag
+    return out.reshape(lead + (h + 1,))
+
+
+def irfft(X, n):
+    """The n real samples whose rfft is X, bins 0..n/2 on the last axis.
+
+    The imaginary parts of bins 0 and n/2 are ignored, as a real signal
+    has none.
+    """
+    X = np.asarray(X, dtype=np.complex128)
+    if not _is_pow2(n):
+        raise ValueError("transform size must be a power of two")
+    if X.shape[-1] != n // 2 + 1:
+        raise ValueError("need n/2 + 1 bins")
+    if n == 1:
+        return X.real.copy()
+    lead, h = X.shape[:-1], n // 2
+    rows = X.reshape(math.prod(lead), h + 1)
+    _, _, ca, cb = _split_twiddles(n)
+    out = np.empty((rows.shape[0], n))
+    block = max(1, _FFT_BLOCK_POINTS // h)
+    for r in range(0, rows.shape[0], block):
+        Xb = rows[r : r + block]
+        z = np.multiply(Xb[:, :h], ca)
+        xr = np.conjugate(Xb[:, h:0:-1])  # conj(X_{h-k})
+        xr *= cb
+        z += xr
+        dc, nyq = Xb[:, 0].real, Xb[:, h].real  # k = 0 from real parts only
+        z[:, 0] = 0.5 * (dc + nyq) + 0.5j * (dc - nyq)
+        out[r : r + block] = fft(z, h, inverse=True).view(np.float64)
+    return out.reshape(lead + (n,))
+
+
 def _window(cfg):
     n = np.arange(cfg.frame_length)
     return 0.5 - 0.5 * np.cos(2 * np.pi * n / cfg.frame_length)
@@ -160,21 +240,20 @@ def frame_signal(samples, cfg):
 
 
 def stft(samples, cfg):
-    """Hann-windowed, zero-padded FFT per frame of a sample array.
+    """Hann-windowed, zero-padded real FFT per frame of a sample array.
 
-    Returns [n_frames, fft_size] complex.
+    Returns [n_frames, n_bins] complex: bins 0..fft_size/2 of each frame.
     """
     frames = frame_signal(samples, cfg) * _window(cfg)
-    return fft(frames, cfg.fft_size)
+    return rfft(frames, cfg.fft_size)
 
 
-def log_amplitude(spec, cfg):
-    """Floored natural-log magnitudes over the fft_size/2+1 non-redundant bins."""
-    mag = np.abs(spec[:, : cfg.n_bins])
-    return LasFrames(np.log(np.maximum(mag, AMPLITUDE_FLOOR)))
+def log_amplitude(spec):
+    """Floored natural-log magnitudes of a spectrum."""
+    return LasFrames(np.log(np.maximum(np.abs(spec), AMPLITUDE_FLOOR)))
 
 
 def las(w):
     """Log amplitude spectra of a waveform under its sample rate's analysis config."""
     cfg = default_stft_config(w.sample_rate)
-    return log_amplitude(stft(w.samples, cfg), cfg)
+    return log_amplitude(stft(w.samples, cfg))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AMPLITUDE_FLOOR, StftConfig, _window, fft, log_amplitude, stft
+from .dsp import AMPLITUDE_FLOOR, StftConfig, _window, irfft, log_amplitude, stft
 
 CORR_EPS = 1e-8
 
@@ -40,46 +40,53 @@ DESK_MRSD = MrsdConfig((
 def _grad_through_stft(gspec, cfg, n_samples):
     """Backpropagate a complex spectrum gradient to the input samples.
 
-    gspec holds dL/dRe + i*dL/dIm for the first n_bins bins of each
-    frame (bins above Nyquist carry no loss).  For a real input frame x,
-    dL/dx = N * Re(ifft(g_full)).
+    gspec holds dL/dRe + i*dL/dIm for bins 0..fft_size/2 of each frame.
+    For a real input frame x, dL/dx = N * Re(ifft(g_full)) with g_full
+    zero above n/2; that is N * irfft of gspec with its interior bins
+    halved (their Hermitian mirrors carry the other half) and only the
+    real parts of bins 0 and n/2, which irfft keeps.
     """
-    n_frames = gspec.shape[0]
-    g_full = np.zeros((n_frames, cfg.fft_size), dtype=np.complex128)
-    g_full[:, : cfg.n_bins] = gspec
-    gframes = cfg.fft_size * np.real(fft(g_full, cfg.fft_size, inverse=True))
-    gframes = gframes[:, : cfg.frame_length] * _window(cfg)
-    # Overlap-add in blocks of frame_shift samples: block b gets piece j
-    # of frame b - j, added in increasing frame order as a per-frame loop
-    # would (the zero padding up to a whole number of blocks adds nothing).
-    shift = cfg.frame_shift
-    k = -(-cfg.frame_length // shift)
+    half = gspec * (cfg.fft_size / 2)
+    half[:, 0] *= 2
+    half[:, -1] *= 2
+    gframes = irfft(half, cfg.fft_size)[:, : cfg.frame_length] * _window(cfg)
+    return _overlap_add(gframes, cfg.frame_shift, n_samples)
+
+
+def _overlap_add(frames, shift, n_samples):
+    """Sum frames [n_frames, frame_length] placed every shift samples.
+
+    Works in blocks of shift samples: block b gets piece j of frame
+    b - j, added in increasing frame order as a per-frame loop would
+    (the zero padding up to a whole number of blocks adds nothing).
+    """
+    n_frames, length = frames.shape
+    k = -(-length // shift)
     pieces = np.zeros((n_frames, k * shift))
-    pieces[:, : cfg.frame_length] = gframes
+    pieces[:, :length] = frames
     pieces = pieces.reshape(n_frames, k, shift)
     blocks = np.zeros((n_frames + k - 1, shift))
     for j in reversed(range(k)):
         blocks[j : j + n_frames] += pieces[:, j]
-    grad = np.zeros(n_samples)
+    out = np.zeros(n_samples)
     m = min(n_samples, blocks.size)
-    grad[:m] = blocks.reshape(-1)[:m]
-    return grad
+    out[:m] = blocks.reshape(-1)[:m]
+    return out
 
 
 def _spectral_mse(gen, ref, cfg):
     """Mean squared log-magnitude error at one resolution, with gradient."""
     spec_g = stft(gen, cfg)
-    diff = (log_amplitude(spec_g, cfg).values
-            - log_amplitude(stft(ref, cfg), cfg).values)
+    diff = log_amplitude(spec_g).values - log_amplitude(stft(ref, cfg)).values
     n_elem = diff.size
     loss = float(np.mean(diff**2))
     # d loss / d|X| is zero where the floor clamps; elsewhere 2*diff/(n*|X|)
-    mag_g = np.abs(spec_g[:, : cfg.n_bins])
+    mag_g = np.abs(spec_g)
     floored_g = np.maximum(mag_g, AMPLITUDE_FLOOR)
     active = mag_g > AMPLITUDE_FLOOR
     dmag = np.where(active, 2.0 * diff / (n_elem * floored_g), 0.0)
     safe = np.where(mag_g > 0, mag_g, 1.0)
-    gspec = dmag * spec_g[:, : cfg.n_bins] / safe
+    gspec = dmag * spec_g / safe
     grad = _grad_through_stft(gspec, cfg, len(gen))
     return loss, grad
 

@@ -178,16 +178,33 @@ def build_dataset(rooms, unseen_rooms, n_utts, duration, fs, out_dir, seed):
     return DatasetManifest(entries, {r.room_id: r for r in all_rooms}, fs, out)
 
 
+ENTRY_KEYS = ("split", "utt_id", "room_id", "t60_truth", "dry_path",
+              "reverb_path", "f0_path")
+
+
+def require_keys(d, keys, where):
+    """d, checked to be a JSON object holding keys; ValueError names the first gap."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    for k in keys:
+        if k not in d:
+            raise ValueError(f"{where}: missing key {k!r}")
+    return d
+
+
 def load_manifest(path):
     path = Path(path)
-    d = json.loads(path.read_text(encoding="utf-8"))
-    try:
-        rooms = {r["room_id"]: RoomSpec(r["room_id"], r["t60"],
-                                        r["direct_to_reverb_db"], r["onset_delay"],
-                                        r["seed"]) for r in d["rooms"]}
-        return DatasetManifest(d["entries"], rooms, d["sample_rate"], path.parent)
-    except KeyError as e:
-        raise ValueError(f"{path}: missing key {e.args[0]!r}") from None
+    d = require_keys(json.loads(path.read_text(encoding="utf-8")),
+                     ("rooms", "entries", "sample_rate"), path)
+    rooms = {}
+    for i, r in enumerate(d["rooms"]):
+        require_keys(r, ("room_id", "t60", "direct_to_reverb_db", "onset_delay",
+                         "seed"), f"{path}: room {i}")
+        rooms[r["room_id"]] = RoomSpec(r["room_id"], r["t60"], r["direct_to_reverb_db"],
+                                       r["onset_delay"], r["seed"])
+    for i, e in enumerate(d["entries"]):
+        require_keys(e, ENTRY_KEYS, f"{path}: entry {i}")
+    return DatasetManifest(d["entries"], rooms, d["sample_rate"], path.parent)
 
 
 def load_utterances(manifest, splits=("train",)):

@@ -256,6 +256,26 @@ def test_manifest_missing_key_is_runtime_error(tmp_path, capsys, content, key):
     assert repr(key) in _one_line_error(capsys)
 
 
+def test_json_top_level_list_is_runtime_error(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    assert run(["--out", str(tmp_path / "data"), "simulate", "--rooms", str(listed),
+                "--utts", "2", "--duration", "0.1"]) == 1
+    assert "JSON object" in _one_line_error(capsys)
+    assert run(["--out", str(tmp_path), "train-gti", "--manifest", str(listed)]) == 1
+    assert "JSON object" in _one_line_error(capsys)
+
+
+def test_manifest_entry_missing_key_names_entry(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"rooms": [], "entries": [{"utt_id": "x"}],
+                                    "sample_rate": 8000}))
+    rc = run(["--out", str(tmp_path), "train-gti", "--manifest", str(manifest)])
+    assert rc == 1
+    err = _one_line_error(capsys)
+    assert "entry 0" in err and "'split'" in err
+
+
 @pytest.fixture(scope="module")
 def gti_ckpt(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("gti")

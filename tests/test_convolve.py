@@ -134,3 +134,22 @@ def test_linear_conv_full_length():
     a = np.array([1.0, 1.0])
     b = np.array([1.0, -1.0, 2.0])
     assert np.allclose(linear_conv_fft(a, b), np.convolve(a, b))
+
+
+@pytest.mark.parametrize("T,L", [(1, 1), (3, 9), (1, 4), (5, 12), (9, 8),
+                                 (100, 29)])
+def test_edge_sizes_match_numpy(T, L):
+    # T = L = 1 transforms at n = 1; L > T leaves taps k >= T with no
+    # signal; 5 + 12 - 1 and 9 + 8 - 1 are exactly 16
+    rng = np.random.default_rng(10 * T + L)
+    d, h, g = rng.standard_normal(T), rng.standard_normal(L), rng.standard_normal(T)
+    assert np.max(np.abs(linear_conv_fft(d, h) - np.convolve(d, h))) <= 1e-12 * T
+    cg = convolve_grad(d, h, g)
+    want_rir = np.zeros(L)
+    m = min(L, T)
+    want_rir[:m] = np.correlate(g, d, "full")[T - 1 : T - 1 + m]
+    want_dry = np.correlate(g, h, "full")[L - 1 : L - 1 + T]
+    assert np.max(np.abs(cg.grad_rir - want_rir)) <= 1e-12 * T
+    assert np.all(cg.grad_rir[T:] == 0.0)
+    assert np.max(np.abs(cg.grad_dry - want_dry)) <= 1e-12 * T
+

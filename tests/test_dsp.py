@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reverbkit.dsp import (AMPLITUDE_FLOOR, StftConfig, Waveform, fft,
-                           log_amplitude, stft)
+from reverbkit.dsp import (AMPLITUDE_FLOOR, StftConfig, Waveform, _window, fft,
+                           frame_signal, irfft, log_amplitude, rfft, stft)
 
 
 def test_fft_delta_is_constant():
@@ -97,6 +97,54 @@ def test_fft_bit_identical_to_bit_reversed_form(shape, n):
     assert np.array_equal(fft(z, n, True), _bit_reversed_fft(z, n, True))
 
 
+@pytest.mark.parametrize("n", [2**p for p in range(16)])
+def test_rfft_matches_complex_fft_and_inverts(n):
+    # input lengths 1, odd and n, under leading axes [2, 3, m]
+    rng = np.random.default_rng(n)
+    for m in sorted({1, max(1, n - 1), n}):
+        x = rng.standard_normal((2, 3, m))
+        X = rfft(x, n)
+        want = fft(x, n)[..., : n // 2 + 1]
+        assert X.shape == (2, 3, n // 2 + 1)
+        assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
+        padded = np.zeros((2, 3, n))
+        padded[..., :m] = x
+        back = irfft(X, n)
+        assert back.shape == (2, 3, n) and back.dtype == np.float64
+        assert np.max(np.abs(back - padded)) <= 1e-12 * np.max(np.abs(padded))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 512])
+def test_irfft_ignores_imaginary_dc_and_nyquist(n):
+    X = rfft(np.random.default_rng(n).standard_normal(n), n)
+    Y = X.copy()
+    Y[0] += 5j
+    Y[-1] -= 3j
+    assert np.array_equal(irfft(Y, n), irfft(X, n))
+
+
+def test_real_transforms_reject_bad_sizes():
+    with pytest.raises(ValueError):
+        rfft([1.0, 2.0, 3.0], 6)
+    with pytest.raises(ValueError):
+        rfft([1.0, 2.0, 3.0, 4.0, 5.0], 4)
+    with pytest.raises(ValueError):
+        irfft(np.zeros(5, dtype=complex), 6)
+    with pytest.raises(ValueError):
+        irfft(np.zeros(4, dtype=complex), 8)  # 8 points need 5 bins
+    with pytest.raises(ValueError):
+        irfft(np.zeros(2, dtype=complex), 1)
+
+
+def test_stft_is_half_of_complex_fft_of_windowed_frames():
+    cfg = StftConfig(fft_size=512, frame_length=400, frame_shift=96)
+    x = np.random.default_rng(4).standard_normal(1000)
+    spec = stft(x, cfg)
+    want = fft(frame_signal(x, cfg) * _window(cfg), cfg.fft_size)[:, : cfg.n_bins]
+    assert spec.shape == (cfg.n_frames(1000), cfg.n_bins)
+    assert np.max(np.abs(spec - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_stft_frame_count():
     cfg = StftConfig(fft_size=2048, frame_length=1200, frame_shift=288)
     assert stft(np.zeros(1200), cfg).shape[0] == 1
@@ -136,20 +184,19 @@ def test_stft_sine_peak_at_bin():
 
 
 def test_log_amplitude_floor_and_values():
-    cfg = StftConfig(fft_size=8, frame_length=8, frame_shift=4)
-    zeros = np.zeros((3, 8), dtype=complex)
-    las = log_amplitude(zeros, cfg)
+    # half spectra in: 5 bins for an 8-point FFT
+    zeros = np.zeros((3, 5), dtype=complex)
+    las = log_amplitude(zeros)
     assert np.allclose(las.values, np.log(1e-5))
     assert las.values.shape == (3, 5)
-    ones = np.ones((2, 8), dtype=complex)
-    assert np.allclose(log_amplitude(ones, cfg).values, 0.0)
-    assert np.allclose(log_amplitude(np.e * ones, cfg).values, 1.0)
+    ones = np.ones((2, 5), dtype=complex)
+    assert np.allclose(log_amplitude(ones).values, 0.0)
+    assert np.allclose(log_amplitude(np.e * ones).values, 1.0)
 
 
 def test_log_amplitude_monotone():
-    cfg = StftConfig(fft_size=8, frame_length=8, frame_shift=4)
-    lo = log_amplitude(np.full((1, 8), 0.5 + 0j), cfg).values
-    hi = log_amplitude(np.full((1, 8), 2.0 + 0j), cfg).values
+    lo = log_amplitude(np.full((1, 5), 0.5 + 0j)).values
+    hi = log_amplitude(np.full((1, 5), 2.0 + 0j)).values
     assert np.all(hi > lo)
     assert np.all(lo >= np.log(AMPLITUDE_FLOOR))
 

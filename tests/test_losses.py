@@ -4,8 +4,8 @@ import pytest
 from reverbkit.checks import check_mrsd, check_secondary
 from reverbkit.dsp import StftConfig, _window, fft
 from reverbkit.losses import (DESK_MRSD, MrsdConfig, _grad_through_stft,
-                              _pearson_loss, _spectral_mse, mrsd_loss,
-                              secondary_dry_loss, waveform_mse_loss)
+                              _overlap_add, _pearson_loss, _spectral_mse,
+                              mrsd_loss, secondary_dry_loss, waveform_mse_loss)
 
 TINY = MrsdConfig((
     StftConfig(fft_size=64, frame_length=48, frame_shift=16),
@@ -79,6 +79,19 @@ def test_stft_gradient_overlap_add_matches_frame_loop():
     cfg = StftConfig(fft_size=512, frame_length=400, frame_shift=96)
     n_samples = 1000
     n_frames = cfg.n_frames(n_samples)
+    gframes = np.random.default_rng(11).standard_normal((n_frames, cfg.frame_length))
+    want = np.zeros(n_samples)
+    for t in range(n_frames):
+        s = t * cfg.frame_shift
+        want[s : s + cfg.frame_length] += gframes[t]
+    assert np.array_equal(_overlap_add(gframes, cfg.frame_shift, n_samples), want)
+
+
+def test_stft_gradient_frames_match_full_complex_inverse():
+    # the half-spectrum irfft path equals N * Re(ifft) of the spectrum
+    # zero-padded above n/2, imaginary parts of bins 0 and n/2 included
+    cfg = StftConfig(fft_size=512, frame_length=400, frame_shift=96)
+    n_frames = 7
     rng = np.random.default_rng(11)
     gspec = (rng.standard_normal((n_frames, cfg.n_bins))
              + 1j * rng.standard_normal((n_frames, cfg.n_bins)))
@@ -86,11 +99,9 @@ def test_stft_gradient_overlap_add_matches_frame_loop():
     g_full[:, : cfg.n_bins] = gspec
     gframes = cfg.fft_size * np.real(fft(g_full, cfg.fft_size, inverse=True))
     gframes = gframes[:, : cfg.frame_length] * _window(cfg)
-    want = np.zeros(n_samples)
-    for t in range(n_frames):
-        s = t * cfg.frame_shift
-        want[s : s + cfg.frame_length] += gframes[t]
-    assert np.array_equal(_grad_through_stft(gspec, cfg, n_samples), want)
+    for t in range(n_frames):  # one frame alone: the overlap-add is the frame
+        got = _grad_through_stft(gspec[t : t + 1], cfg, cfg.frame_length)
+        assert np.max(np.abs(got - gframes[t])) <= 1e-12 * np.max(np.abs(gframes[t]))
 
 
 def test_mrsd_default_config_is_desk():

@@ -1,11 +1,15 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from reverbkit.convolve import convolve_fft
+from reverbkit import dsp
+from reverbkit.convolve import convolve_fft, convolve_grad
 from reverbkit.dsp import StftConfig
 from reverbkit.estimator import UtvEstimatorParams
 from reverbkit.fileio import load_checkpoint, save_checkpoint
-from reverbkit.losses import MrsdConfig
+from reverbkit.losses import MrsdConfig, mrsd_loss
 from reverbkit.optim import AdamState, grad_check
 from reverbkit.rir import GtiRir, Rir, RoomSpec, assemble, synth_rir
 from reverbkit.simdata import Utterance, synth_dry
@@ -268,3 +272,30 @@ def test_train_mt_resume_bit_exact():
                             adam=a1, start_step=5, report=r1)
     assert np.array_equal(v2.fir, fvoc.fir)
     assert np.array_equal(g2.tail, fgti.tail)
+
+
+def test_utterance_step_transforms_half_the_complex_points(monkeypatch):
+    # one GTI MRSD utterance-step (0.375 s at 8 kHz, L = 256, DESK_MRSD):
+    # render, loss and RIR gradient.  Complex transforms of the real
+    # signals took 163,584 points here (convolve_fft 3 x 4,096, mrsd_loss
+    # 126,720, convolve_grad 3 x 8,192); real transforms take 75,648.
+    # Every module that holds dsp.fft is patched, so a transform that
+    # bypasses rfft/irfft is counted too.
+    points = []
+    orig = dsp.fft
+
+    def counting(x, n, inverse=False):
+        points.append(math.prod(np.shape(x)[:-1]) * n)
+        return orig(x, n, inverse)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "reverbkit" or name.startswith("reverbkit."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    rng = np.random.default_rng(0)
+    dry, ref = rng.standard_normal(3000), rng.standard_normal(3000)
+    h = assemble(0.01 * rng.standard_normal(255))
+    _, grad = mrsd_loss(convolve_fft(dry, h), ref)
+    convolve_grad(dry, h, grad, wrt_dry=False)
+    assert sum(points) <= 163_584 // 2
