@@ -17,7 +17,7 @@ from .dsp import default_stft_config, las
 from .estimator import UtvEstimatorParams
 from .fileio import (load_checkpoint, read_rir, read_wav, save_checkpoint,
                      write_rir, write_wav)
-from .rir import RoomSpec, assemble, estimate_t60, t60_error_stats
+from .rir import assemble, estimate_t60, t60_error_stats
 from .training import (TrainHyper, predict_rir_tail, train_gti, train_mt,
                        train_utv)
 from .vocoder import ToyVocoderParams
@@ -25,14 +25,22 @@ from .vocoder import ToyVocoderParams
 DEFAULTS = {
     "simulate": {"utts": 200, "duration": 2.0, "fs": 8000, "rooms": None},
     "train-gti": {"rir_len": 256, "steps": 500, "loss": "mrsd", "lr": 1e-3,
-                  "batch": 4, "split": "train"},
+                  "split": "train", "batch": 4},
     "train-utv": {"rir_len": 256, "steps": 1000, "loss": "mrsd", "lr": 1e-3,
-                  "hidden": 32, "channels": 32, "kernel": 11, "split": "train"},
+                  "split": "train", "hidden": 32, "channels": 32, "kernel": 11},
     "train-mt": {"rir_len": 256, "steps": 1000, "loss": "mrsd", "lr": 1e-3,
-                 "hidden": 32, "channels": 32, "kernel": 11,
-                 "secondary_weight": 1.0, "fir_taps": 32, "split": "train"},
+                 "split": "train", "hidden": 32, "channels": 32, "kernel": 11,
+                 "secondary_weight": 1.0, "fir_taps": 32},
     "apply": {}, "t60": {}, "evaluate": {"split": "test_seen"}, "gradcheck": {},
 }
+
+
+def _add_default_flags(s, command):
+    """--key-with-dashes, typed like its default, for each valued default."""
+    for key, default in DEFAULTS[command].items():
+        if default is not None:
+            s.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           choices=["mrsd", "wave"] if key == "loss" else None)
 
 
 def _build_parser():
@@ -45,27 +53,12 @@ def _build_parser():
 
     s = sub.add_parser("simulate", help="build a synthetic dataset")
     s.add_argument("--rooms", type=Path, help="JSON room specs {seen:[],unseen:[]}")
-    s.add_argument("--utts", type=int)
-    s.add_argument("--duration", type=float)
-    s.add_argument("--fs", type=int)
+    _add_default_flags(s, "simulate")
 
     for name in ("train-gti", "train-utv", "train-mt"):
         s = sub.add_parser(name, help=f"run {name.replace('-', ' ')}")
         s.add_argument("--manifest", type=Path, required=True)
-        s.add_argument("--rir-len", dest="rir_len", type=int)
-        s.add_argument("--steps", type=int)
-        s.add_argument("--loss", choices=["mrsd", "wave"])
-        s.add_argument("--lr", type=float)
-        s.add_argument("--split")
-        if name == "train-gti":
-            s.add_argument("--batch", type=int)
-        else:
-            s.add_argument("--hidden", type=int)
-            s.add_argument("--channels", type=int)
-            s.add_argument("--kernel", type=int)
-        if name == "train-mt":
-            s.add_argument("--secondary-weight", dest="secondary_weight", type=float)
-            s.add_argument("--fir-taps", dest="fir_taps", type=int)
+        _add_default_flags(s, name)
 
     s = sub.add_parser("apply", help="convolve a dry file with an RIR model")
     s.add_argument("--dry", type=Path, required=True)
@@ -81,7 +74,7 @@ def _build_parser():
     s.add_argument("--manifest", type=Path, required=True)
     s.add_argument("--model", type=Path, required=True,
                    help="a .rir file or a UTV checkpoint")
-    s.add_argument("--split")
+    _add_default_flags(s, "evaluate")
     s.add_argument("--plot-csv", dest="plot_csv", type=Path)
 
     s = sub.add_parser("gradcheck", help="verify every analytic gradient path")
@@ -97,19 +90,9 @@ def _resolve(args):
         overlay = json.loads(args.config.read_text(encoding="utf-8"))
         if isinstance(overlay, dict):
             overlay = overlay.get(args.command, overlay)
-        if not isinstance(overlay, dict):
-            raise ValueError(f"{args.config}: the config and its {args.command!r} "
-                             f"section must be JSON objects")
-        # A value must have its default's type: an int may stand for a
-        # float, a bool for neither.  A None default takes any value.
-        for key, val in overlay.items():
-            default = defaults.get(key)
-            kinds = (int, float) if isinstance(default, float) else (type(default),)
-            if default is not None and (isinstance(val, bool)
-                                        or not isinstance(val, kinds)):
-                raise ValueError(f"{args.config}: {key!r} must be "
-                                 f"{type(default).__name__}, not {type(val).__name__}")
-        cfg.update(overlay)
+        # A None default takes any value.
+        typed = {k: type(v) for k, v in defaults.items() if v is not None}
+        cfg.update(simdata.check_fields(overlay, typed, args.config, optional=typed))
     for key, val in vars(args).items():
         if key in ("config", "command"):
             continue
@@ -120,22 +103,9 @@ def _resolve(args):
     return cfg
 
 
-def _load_rooms(path):
-    if path is None:
-        return simdata.DESK_SEEN_ROOMS, simdata.DESK_UNSEEN_ROOMS
-    d = simdata.require_keys(json.loads(Path(path).read_text(encoding="utf-8")),
-                             ("seen",), path)
-
-    def mk(group, i, r):
-        simdata.require_keys(r, ("room_id", "t60", "seed"), f"{path}: {group} room {i}")
-        return RoomSpec(r["room_id"], r["t60"], r.get("direct_to_reverb_db", 2.0),
-                        r.get("onset_delay", 1), r["seed"])
-    return ([mk("seen", i, r) for i, r in enumerate(d["seen"])],
-            [mk("unseen", i, r) for i, r in enumerate(d.get("unseen", []))])
-
-
 def _cmd_simulate(cfg):
-    seen, unseen = _load_rooms(cfg.get("rooms"))
+    seen, unseen = ((simdata.DESK_SEEN_ROOMS, simdata.DESK_UNSEEN_ROOMS)
+                    if cfg["rooms"] is None else simdata.load_rooms(cfg["rooms"]))
     manifest = simdata.build_dataset(seen, unseen, cfg["utts"], cfg["duration"],
                                      cfg["fs"], cfg["out"], cfg["seed"])
     print(json.dumps({"out": str(cfg["out"]), "entries": len(manifest.entries)}))
@@ -227,45 +197,37 @@ def _cmd_t60(cfg):
 def _cmd_evaluate(cfg):
     manifest = simdata.load_manifest(cfg["manifest"])
     model_path = Path(cfg["model"])
-    utv_params = None
-    fixed_t60 = None
     if model_path.suffix == ".rir":
         fixed_t60 = estimate_t60(read_rir(model_path))
+        predict = lambda e: fixed_t60
     else:
-        utv_params = UtvEstimatorParams.from_dict(load_checkpoint(model_path), "utv.")
-    splits = tuple(cfg["split"].split(","))
-    rows = []
-    for e in manifest.entries:
-        if e["split"] not in splits:
-            continue
-        if fixed_t60 is not None:
-            est = fixed_t60
-        else:
+        params = UtvEstimatorParams.from_dict(load_checkpoint(model_path), "utv.")
+
+        def predict(e):
             wave = read_wav(manifest.root / e["reverb_path"])
-            tail = predict_rir_tail(utv_params, las(wave).values)
+            tail = predict_rir_tail(params, las(wave).values)
             try:
-                est = estimate_t60(assemble(tail), manifest.sample_rate)
+                return estimate_t60(assemble(tail), manifest.sample_rate)
             except ValueError:
-                est = None
-        rows.append((e["utt_id"], e["room_id"], e["t60_truth"], est))
+                return None
+    splits = tuple(cfg["split"].split(","))
+    rows = [(e["utt_id"], e["room_id"], e["t60_truth"], predict(e))
+            for e in manifest.entries if e["split"] in splits]
     by_room = {}
-    for utt_id, room_id, truth, est in rows:
+    for _, room_id, truth, est in rows:
         by_room.setdefault(room_id, []).append((truth, est))
-    room_stats = []
-    pooled_est, pooled_truth = [], []
+    room_stats, pooled = [], []  # pooled in sorted-room order
     for room_id in sorted(by_room):
         pairs = [(t, e) for t, e in by_room[room_id] if e is not None]
-        failed = len(by_room[room_id]) - len(pairs)
-        truth = by_room[room_id][0][0]
         stats = t60_error_stats([e for _, e in pairs], [t for t, _ in pairs]) \
             if pairs else {"mean": None, "median": None, "q1": None, "q3": None, "n": 0}
-        room_stats.append({"room_id": room_id, "t60_truth": truth,
+        room_stats.append({"room_id": room_id, "t60_truth": by_room[room_id][0][0],
                            "mean_err": stats["mean"], "median_err": stats["median"],
                            "q1": stats["q1"], "q3": stats["q3"], "n": stats["n"],
-                           "n_failed": failed})
-        pooled_est += [e for _, e in pairs]
-        pooled_truth += [t for t, _ in pairs]
-    pooled = t60_error_stats(pooled_est, pooled_truth) if pooled_est else None
+                           "n_failed": len(by_room[room_id]) - len(pairs)})
+        pooled += pairs
+    pooled = (t60_error_stats([e for _, e in pooled], [t for t, _ in pooled])
+              if pooled else None)
     print(json.dumps({"rooms": room_stats, "pooled": pooled}, indent=1))
     if cfg.get("plot_csv"):
         with open(cfg["plot_csv"], "w", newline="") as f:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 AMPLITUDE_FLOOR = 1e-5
 
@@ -233,10 +234,9 @@ def _window(cfg):
 
 
 def frame_signal(samples, cfg):
-    """Slice a signal into overlapping frames [n_frames, frame_length]."""
-    n_frames = cfg.n_frames(len(samples))
-    starts = np.arange(n_frames) * cfg.frame_shift
-    return samples[starts[:, None] + np.arange(cfg.frame_length)]
+    """Overlapping frames [n_frames, frame_length]: a read-only strided view."""
+    cfg.n_frames(len(samples))  # raises on a signal shorter than one frame
+    return sliding_window_view(samples, cfg.frame_length)[::cfg.frame_shift]
 
 
 def stft(samples, cfg):

@@ -4,15 +4,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+EPS = 1e-8  # Adam's denominator guard
+
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators and hyperparameters."""
+    """Step count and per-parameter moments, all that a checkpoint stores;
+    the rates are the run's, passed to adam_step."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -36,8 +35,9 @@ class AdamState:
                     moments[key[len(prefix):]] = np.array(a, dtype=np.float64)
 
 
-def adam_step(state, params, grads):
-    """One in-place Adam update over a dict of named arrays.
+def adam_step(state, params, grads, lr, beta1, beta2):
+    """One in-place Adam update over a dict of named arrays, at learning
+    rate lr with moment decay rates beta1 and beta2.
 
     Raises on non-finite gradients without touching the parameters.
     """
@@ -46,8 +46,8 @@ def adam_step(state, params, grads):
             raise ValueError(f"non-finite gradient in {name}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for name in sorted(params):
         g = grads[name]
         if name not in state.m:
@@ -55,9 +55,9 @@ def adam_step(state, params, grads):
             state.v[name] = np.zeros_like(params[name])
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m += (1.0 - beta1) * (g - m)
+        v += (1.0 - beta2) * (g * g - v)
+        params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params, state
 
 

@@ -101,11 +101,6 @@ def _f0_to_json(track):
             "frame_shift": track.frame_shift, "sample_rate": track.sample_rate}
 
 
-def _f0_from_json(d):
-    return F0Track(np.array(d["f0"]), np.array(d["vuv"], dtype=bool),
-                   d["frame_shift"], d["sample_rate"])
-
-
 def _room_rirs(rooms, fs):
     """Each room's ground-truth RIR, by room_id."""
     return {r.room_id: synth_rir(r, room_rir_length(r.t60, fs), fs, min_decay_db=0.0)
@@ -178,33 +173,68 @@ def build_dataset(rooms, unseen_rooms, n_utts, duration, fs, out_dir, seed):
     return DatasetManifest(entries, {r.room_id: r for r in all_rooms}, fs, out)
 
 
-ENTRY_KEYS = ("split", "utt_id", "room_id", "t60_truth", "dry_path",
-              "reverb_path", "f0_path")
+def check_fields(d, fields, where, optional=()):
+    """d, checked to be a JSON object whose fields have their declared types.
 
-
-def require_keys(d, keys, where):
-    """d, checked to be a JSON object holding keys; ValueError names the first gap."""
+    fields maps each key to list, str, int or float; every key outside
+    optional must be present.  An int may stand for a float, a bool for
+    neither.  ValueError names where and the first bad field.
+    """
     if not isinstance(d, dict):
         raise ValueError(f"{where}: expected a JSON object")
-    for k in keys:
-        if k not in d:
-            raise ValueError(f"{where}: missing key {k!r}")
+    for key, kind in fields.items():
+        if key not in d:
+            if key in optional:
+                continue
+            raise ValueError(f"{where}: missing key {key!r}")
+        val = d[key]
+        if isinstance(val, bool) or not isinstance(
+                val, (int, float) if kind is float else kind):
+            raise ValueError(f"{where}: {key!r} must be {kind.__name__}, "
+                             f"not {type(val).__name__}")
     return d
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+ROOM_FIELDS = {"room_id": str, "t60": float, "direct_to_reverb_db": float,
+               "onset_delay": int, "seed": int}
+ENTRY_FIELDS = {"split": str, "utt_id": str, "room_id": str, "t60_truth": float,
+                "dry_path": str, "reverb_path": str, "f0_path": str}
+F0_FIELDS = {"f0": list, "vuv": list, "frame_shift": int, "sample_rate": int}
+
+
+def _room_from_json(r, where, optional):
+    """The RoomSpec of one JSON room; an optional direct_to_reverb_db or
+    onset_delay that is absent defaults to 2.0 dB or 1 sample."""
+    check_fields(r, ROOM_FIELDS, where, optional)
+    return RoomSpec(r["room_id"], r["t60"], r.get("direct_to_reverb_db", 2.0),
+                    r.get("onset_delay", 1), r["seed"])
+
+
+def load_rooms(path):
+    """(seen, unseen) RoomSpec lists of a rooms file {"seen": [...], "unseen": [...]};
+    unseen and each room's direct_to_reverb_db and onset_delay may be left out."""
+    d = check_fields(_read_json(path), {"seen": list, "unseen": list}, path,
+                     optional=("unseen",))
+    optional = ("direct_to_reverb_db", "onset_delay")
+    return tuple([_room_from_json(r, f"{path}: {group} room {i}", optional)
+                  for i, r in enumerate(d.get(group, []))]
+                 for group in ("seen", "unseen"))
 
 
 def load_manifest(path):
     path = Path(path)
-    d = require_keys(json.loads(path.read_text(encoding="utf-8")),
-                     ("rooms", "entries", "sample_rate"), path)
-    rooms = {}
-    for i, r in enumerate(d["rooms"]):
-        require_keys(r, ("room_id", "t60", "direct_to_reverb_db", "onset_delay",
-                         "seed"), f"{path}: room {i}")
-        rooms[r["room_id"]] = RoomSpec(r["room_id"], r["t60"], r["direct_to_reverb_db"],
-                                       r["onset_delay"], r["seed"])
+    d = check_fields(_read_json(path),
+                     {"rooms": list, "entries": list, "sample_rate": int}, path)
+    rooms = [_room_from_json(r, f"{path}: room {i}", ())
+             for i, r in enumerate(d["rooms"])]
     for i, e in enumerate(d["entries"]):
-        require_keys(e, ENTRY_KEYS, f"{path}: entry {i}")
-    return DatasetManifest(d["entries"], rooms, d["sample_rate"], path.parent)
+        check_fields(e, ENTRY_FIELDS, f"{path}: entry {i}")
+    return DatasetManifest(d["entries"], {r.room_id: r for r in rooms},
+                           d["sample_rate"], path.parent)
 
 
 def load_utterances(manifest, splits=("train",)):
@@ -215,8 +245,9 @@ def load_utterances(manifest, splits=("train",)):
             continue
         dry = read_wav(manifest.root / e["dry_path"])
         reverb = read_wav(manifest.root / e["reverb_path"])
-        f0 = _f0_from_json(json.loads(
-            (manifest.root / e["f0_path"]).read_text(encoding="utf-8")))
+        f0_path = manifest.root / e["f0_path"]
+        d = check_fields(_read_json(f0_path), F0_FIELDS, f0_path)
+        f0 = F0Track(d["f0"], d["vuv"], d["frame_shift"], d["sample_rate"])
         utts.append(Utterance(e["utt_id"], dry, reverb, f0, e["room_id"],
                               e["t60_truth"], e["split"]))
     return utts

@@ -124,7 +124,7 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
     vocoder, to the FIR, plus the secondary loss on the dry output).
     Gradients and losses are averaged over the batch before one Adam step.
     """
-    adam = adam or AdamState(lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2)
+    adam = adam or AdamState()
     report = report or TrainReport()
     params = dict(model.params)
     if voc is not None:
@@ -156,7 +156,8 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
                 sec_total += sec_l
             total += loss
             acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
-        adam_step(adam, params, {k: g / len(idx) for k, g in acc.items()})
+        adam_step(adam, params, {k: g / len(idx) for k, g in acc.items()},
+                  hyper.lr, hyper.beta1, hyper.beta2)
         sec = None if voc is None else hyper.secondary_weight * sec_total / len(idx)
         report.log(step, total / len(idx), sec,
                    wall_ms=(time.perf_counter() - ts) * 1e3)

@@ -96,8 +96,6 @@ def test_criterion_4_gti_mrsd(single_room_setup):
     gti = adam = report = None
     for lr, steps, start in ((1e-3, 600, 0), (1e-4, 400, 600)):
         hyper = TrainHyper(lr=lr, loss="mrsd")
-        if adam is not None:
-            adam.lr = lr
         gti, adam, report = train_gti(utts, 256, steps, hyper, seed=1,
                                       gti=gti, adam=adam, start_step=start,
                                       report=report)
@@ -138,8 +136,6 @@ def test_criterion_5_utv_beats_gti(multi_room_setup):
     cache = reverb_las(train)
     for lr, steps, start in ((1e-3, 300, 0), (1e-4, 700, 300)):
         hyper = TrainHyper(lr=lr, loss="wave", batch_size=4)
-        if adam is not None:
-            adam.lr = lr
         est, adam, report = train_utv(train, est, steps, hyper, seed=2,
                                       adam=adam, start_step=start,
                                       report=report, las_cache=cache)

@@ -1,9 +1,11 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reverbkit.cli import run
+from reverbkit.cli import _build_parser, run
 from reverbkit.dsp import Waveform
 from reverbkit.fileio import read_rir, read_wav, write_rir, write_wav
 from reverbkit.rir import Rir
@@ -234,26 +236,55 @@ def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
 
 
 @pytest.mark.parametrize("content,key", [("{}", "seen"),
-                                         ('{"seen": [{}]}', "room_id")])
+                                         ('{"seen": [{}]}', "room_id"),
+                                         ('{"seen": 5}', "seen")])
 def test_rooms_file_missing_key_is_runtime_error(tmp_path, capsys, content, key):
     rooms = tmp_path / "rooms.json"
     rooms.write_text(content)
     rc = run(["--out", str(tmp_path / "data"), "simulate", "--rooms", str(rooms),
               "--utts", "2", "--duration", "0.1"])
     assert rc == 1
-    assert repr(key) in _one_line_error(capsys)
+    err = _one_line_error(capsys)
+    assert repr(key) in err and str(rooms) in err
 
 
-@pytest.mark.parametrize("content,key", [("{}", "rooms"),
-                                         ('{"rooms": []}', "entries"),
-                                         ('{"rooms": [], "entries": []}',
-                                          "sample_rate")])
+ROOM = {"room_id": "r", "t60": 0.1, "direct_to_reverb_db": 2.0, "onset_delay": 1,
+        "seed": 1}
+ENTRY = {"split": "train", "utt_id": "u", "room_id": "r", "t60_truth": 0.1,
+         "dry_path": "d.wav", "reverb_path": "d.wav", "f0_path": "f0.json"}
+
+
+def _manifest(rooms=(), entries=()):
+    return json.dumps({"rooms": rooms, "entries": entries, "sample_rate": 8000})
+
+
+def _write_utterance_files(root, f0_json):
+    """d.wav for both sides of ENTRY, and its F0 file f0.json."""
+    write_wav(root / "d.wav", Waveform(np.zeros(800), 8000), bit_depth=32)
+    (root / "f0.json").write_text(f0_json)
+
+
+@pytest.mark.parametrize("content,key", [
+    ("{}", "rooms"),
+    ('{"rooms": []}', "entries"),
+    ('{"rooms": [], "entries": []}', "sample_rate"),
+    ('{"rooms": 5, "entries": [], "sample_rate": 8000}', "rooms"),
+    ('{"rooms": [], "entries": 5, "sample_rate": 8000}', "entries"),
+    ('{"rooms": [], "entries": [], "sample_rate": "8000"}', "sample_rate"),
+    (_manifest([{**ROOM, "seed": 1.5}]), "seed"),
+    (_manifest([ROOM], [{**ENTRY, "t60_truth": "x"}]), "t60_truth"),
+    (_manifest([ROOM], [ENTRY]), "vuv"),  # f0.json has no vuv
+])
 def test_manifest_missing_key_is_runtime_error(tmp_path, capsys, content, key):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(content)
+    no_vuv = '{"f0": [0.0], "frame_shift": 96, "sample_rate": 8000}'
+    _write_utterance_files(tmp_path, no_vuv)
     rc = run(["--out", str(tmp_path), "train-gti", "--manifest", str(manifest)])
     assert rc == 1
-    assert repr(key) in _one_line_error(capsys)
+    err = _one_line_error(capsys)
+    assert repr(key) in err
+    assert str(tmp_path / ("f0.json" if key == "vuv" else "manifest.json")) in err
 
 
 def test_json_top_level_list_is_runtime_error(tmp_path, capsys):
@@ -264,6 +295,12 @@ def test_json_top_level_list_is_runtime_error(tmp_path, capsys):
     assert "JSON object" in _one_line_error(capsys)
     assert run(["--out", str(tmp_path), "train-gti", "--manifest", str(listed)]) == 1
     assert "JSON object" in _one_line_error(capsys)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(_manifest([ROOM], [ENTRY]))
+    _write_utterance_files(tmp_path, "[]")
+    assert run(["--out", str(tmp_path), "train-gti", "--manifest", str(manifest)]) == 1
+    err = _one_line_error(capsys)
+    assert "JSON object" in err and str(tmp_path / "f0.json") in err
 
 
 def test_manifest_entry_missing_key_names_entry(tmp_path, capsys):
@@ -274,6 +311,38 @@ def test_manifest_entry_missing_key_names_entry(tmp_path, capsys):
     assert rc == 1
     err = _one_line_error(capsys)
     assert "entry 0" in err and "'split'" in err
+
+
+def test_subcommand_options_are_pinned():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {cmd: {" ".join(a.option_strings): (a.dest, a.type) for a in p._actions
+                 if a.dest != "help"}
+           for cmd, p in sub.choices.items()}
+    train = {"--manifest": ("manifest", Path), "--rir-len": ("rir_len", int),
+             "--steps": ("steps", int), "--loss": ("loss", str),
+             "--lr": ("lr", float), "--split": ("split", str)}
+    estimator = {"--hidden": ("hidden", int), "--channels": ("channels", int),
+                 "--kernel": ("kernel", int)}
+    assert got == {
+        "simulate": {"--rooms": ("rooms", Path), "--utts": ("utts", int),
+                     "--duration": ("duration", float), "--fs": ("fs", int)},
+        "train-gti": {**train, "--batch": ("batch", int)},
+        "train-utv": {**train, **estimator},
+        "train-mt": {**train, **estimator,
+                     "--secondary-weight": ("secondary_weight", float),
+                     "--fir-taps": ("fir_taps", int)},
+        "apply": {"--dry": ("dry", Path), "--rir": ("rir", Path),
+                  "--ckpt": ("ckpt", Path), "--las-source": ("las_source", Path),
+                  "--out-wav": ("out_wav", Path)},
+        "t60": {"--rir": ("rir", Path)},
+        "evaluate": {"--manifest": ("manifest", Path), "--model": ("model", Path),
+                     "--split": ("split", str), "--plot-csv": ("plot_csv", Path)},
+        "gradcheck": {"--module": ("module", None)},
+    }
+    for cmd in ("train-gti", "train-utv", "train-mt"):
+        loss = next(a for a in sub.choices[cmd]._actions if a.dest == "loss")
+        assert loss.choices == ["mrsd", "wave"]
 
 
 @pytest.fixture(scope="module")

@@ -158,6 +158,17 @@ def test_frame_count_formula(n, length, shift):
     assert stft(np.zeros(n), cfg).shape[0] == (n - length) // shift + 1
 
 
+@pytest.mark.parametrize("n,length,shift", [(400, 400, 96), (1000, 400, 96),
+                                            (4097, 512, 128), (7, 3, 1)])
+def test_frame_signal_frames_are_exact_slices(n, length, shift):
+    x = np.random.default_rng(n).standard_normal(n)
+    cfg = StftConfig(fft_size=512, frame_length=length, frame_shift=shift)
+    frames = frame_signal(x, cfg)
+    assert frames.shape == (cfg.n_frames(n), length)
+    for i, frame in enumerate(frames):
+        assert np.array_equal(frame, x[i * shift : i * shift + length])
+
+
 def test_stft_zero_signal():
     cfg = StftConfig(fft_size=256, frame_length=200, frame_shift=50)
     spec = stft(np.zeros(1000), cfg)

@@ -136,7 +136,7 @@ def test_train_gti_resume_from_checkpoint_bit_exact(tmp_path):
     g1, a1, _ = train_gti(utts, 64, 6, wave_hyper(), seed=3)
     save_checkpoint(tmp_path / "gti.ckpt", {"gti.tail": g1.tail, **a1.state_dict()})
     ckpt = load_checkpoint(tmp_path / "gti.ckpt")
-    adam = AdamState(lr=wave_hyper().lr)
+    adam = AdamState()  # the run's hyper, not the state, sets the rates
     adam.load_state_dict(ckpt)
     g2, _, _ = train_gti(utts, 64, 6, wave_hyper(), seed=3,
                          gti=GtiRir(ckpt["gti.tail"], FS), adam=adam,
