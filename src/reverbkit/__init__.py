@@ -7,6 +7,17 @@ multi-resolution spectral losses, and evaluates via Schroeder T60
 analysis on synthetic rooms with known ground truth.
 """
 
+import os
+
+# One BLAS thread unless the environment says otherwise.  The matrix
+# products here are small (GRU gates of a few dozen units over a few
+# hundred frames); a threaded BLAS gains nothing on them, and with the
+# other cores busy each threaded call waits for its helpers: a GRU
+# forward took 24 ms threaded against 3 ms on one thread.  The pools are
+# sized when numpy loads, so this runs before the first numpy import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .convolve import ConvGrad, convolve_direct, convolve_fft, convolve_grad
 from .dsp import (AMPLITUDE_FLOOR, LasFrames, StftConfig, Waveform, fft, irfft,
                   las, log_amplitude, rfft, stft)

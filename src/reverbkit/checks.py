@@ -40,18 +40,19 @@ def check_gti(eps=1e-5, tolerance=1e-5):
 
 
 def check_utv(eps=1e-5, tolerance=1e-4):
-    """Estimator network end to end, every parameter group (tiny config)."""
+    """Estimator network end to end, every parameter group, on a batch of
+    two sequences run in step (tiny config)."""
     rng = np.random.default_rng(42)
     est = UtvEstimatorParams.init(input_dim=8, hidden_dim=4, channels=4,
                                   kernel=3, tail_len=15, seed=7)
-    x = rng.standard_normal((5, 8))
-    target = 0.05 * rng.standard_normal(15)
+    x = rng.standard_normal((2, 5, 8))
+    target = 0.05 * rng.standard_normal((2, 15))
 
     def loss_fn(params):
         p = UtvEstimatorParams.from_dict(params, "utv.")
         tail, cache = estimator_forward(p, x)
         diff = tail - target
-        loss = float(diff @ diff)
+        loss = float(np.sum(diff * diff))
         grads, _ = estimator_backward(p, cache, 2.0 * diff)
         return loss, grads.as_dict("utv.")
 

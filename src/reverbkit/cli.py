@@ -90,8 +90,10 @@ def _resolve(args):
         overlay = json.loads(args.config.read_text(encoding="utf-8"))
         if isinstance(overlay, dict):
             overlay = overlay.get(args.command, overlay)
-        # A None default takes any value.
-        typed = {k: type(v) for k, v in defaults.items() if v is not None}
+        # A key takes its default's type.  A flag without a default that the
+        # command line left unset names a file: its key must be a string.
+        typed = {k: str for k, v in vars(args).items() if v is None}
+        typed.update({k: type(v) for k, v in defaults.items() if v is not None})
         cfg.update(simdata.check_fields(overlay, typed, args.config, optional=typed))
     for key, val in vars(args).items():
         if key in ("config", "command"):

@@ -31,6 +31,12 @@ def _as_array(x):
     return a
 
 
+def _as_rows(d, h):
+    """d [..., T] and h [..., L] as arrays, h broadcast to d's leading axes."""
+    dd, hh = _as_array(d), _as_array(h)
+    return dd, np.broadcast_to(hh, dd.shape[:-1] + hh.shape[-1:])
+
+
 def convolve_direct(d, h):
     """Time-domain linear convolution truncated to the dry length."""
     dd = _as_array(d)
@@ -39,26 +45,34 @@ def convolve_direct(d, h):
 
 
 def linear_conv_fft(a, b):
-    """Full linear convolution of two 1-D arrays via zero-padded FFT."""
-    n = _next_pow2(len(a) + len(b) - 1)
-    return irfft(rfft(a, n) * rfft(b, n), n)[: len(a) + len(b) - 1]
+    """Full linear convolution of the rows of a and b via zero-padded FFT."""
+    m = a.shape[-1] + b.shape[-1] - 1
+    n = _next_pow2(m)
+    return irfft(rfft(a, n) * rfft(b, n), n)[..., :m]
 
 
 def convolve_fft(d, h):
-    """Frequency-domain convolve_direct; a Waveform input gives a Waveform output."""
-    dd = _as_array(d)
-    hh = _as_array(h)
-    if not np.any(hh[1:]):  # pure direct path: keep the output sample-exact
-        out = hh[0] * dd
-    else:
-        out = linear_conv_fft(dd, hh)[: len(dd)]
+    """Frequency-domain convolve_direct along the last axis.
+
+    d is [..., T]; h is one RIR [L] or one per row [..., L].  A row whose
+    RIR is a pure direct path is scaled, not transformed, so its output
+    stays sample-exact.  A Waveform input gives a Waveform output.
+    """
+    dd, hh = _as_rows(d, h)
+    T = dd.shape[-1]
+    rd, rh = dd.reshape(-1, T), hh.reshape(-1, hh.shape[-1])
+    out = rh[:, :1] * rd
+    fir = np.any(rh[:, 1:], axis=1)
+    if fir.any():
+        out[fir] = linear_conv_fft(rd[fir], rh[fir])[:, :T]
+    out = out.reshape(dd.shape)
     if isinstance(d, Waveform):
         return Waveform(out, d.sample_rate)
     return out
 
 
 def convolve_grad(d, h, grad_r, wrt_dry=True):
-    """Gradients of the truncated convolution w.r.t. both inputs.
+    """Gradients of the truncated convolution w.r.t. both inputs, per row.
 
     With r_t = sum_k h_k d_{t-k} (0-based, output truncated to T):
       grad_rir_k = sum_t grad_r_t d_{t-k}
@@ -66,21 +80,24 @@ def convolve_grad(d, h, grad_r, wrt_dry=True):
     Both are cross-correlations, taken here as circular correlations
     irfft(G * conj(D)) and irfft(G * conj(H)) at the forward pass's size
     n = next_pow2(T + L - 1), where lags that wrap around land on zero
-    padding.  RIR taps k >= T see no signal and get exactly 0.  With
-    wrt_dry=False the dry gradient is skipped (grad_dry is None) for
-    callers whose dry input is fixed.
+    padding.  RIR taps k >= T see no signal and get exactly 0.  d and
+    grad_r are [..., T]; h is [L] or [..., L], and grad_rir is [..., L]
+    either way.  With wrt_dry=False the dry gradient is skipped (grad_dry
+    is None) for callers whose dry input is fixed.
     """
-    dd = _as_array(d)
-    hh = _as_array(h)
+    dd, hh = _as_rows(d, h)
     g = np.asarray(grad_r, dtype=np.float64)
-    T, L = len(dd), len(hh)
-    if len(g) != T:
-        raise ValueError("grad_r length must match the dry length")
+    T, L = dd.shape[-1], hh.shape[-1]
+    if g.shape != dd.shape:
+        raise ValueError("grad_r shape must match the dry shape")
     n = _next_pow2(T + L - 1)
     G = rfft(g, n)
-    grad_rir = irfft(G * np.conj(rfft(dd, n)), n)[:L].copy()
-    grad_rir[T:] = 0.0  # rounding residue, not gradient
+    # np.multiply, not `*`: on a large temporary right operand `*` works in
+    # place with the operands swapped, which changes the product's last bit,
+    # so a row's gradient would depend on how many rows came with it.
+    grad_rir = irfft(np.multiply(G, np.conj(rfft(dd, n))), n)[..., :L].copy()
+    grad_rir[..., T:] = 0.0  # rounding residue, not gradient
     grad_dry = None
     if wrt_dry:
-        grad_dry = irfft(G * np.conj(rfft(hh, n)), n)[:T].copy()
+        grad_dry = irfft(np.multiply(G, np.conj(rfft(hh, n))), n)[..., :T].copy()
     return ConvGrad(grad_dry=grad_dry, grad_rir=grad_rir)

@@ -87,54 +87,66 @@ class UtvEstimatorParams:
 
 
 def gru_forward(params, x):
-    """Unidirectional GRU over frames x [n, input]; returns ([n, hidden], cache).
+    """Unidirectional GRU over frames x [..., n, input]; returns
+    ([..., n, hidden], cache).
 
     z_t = sigm(W_z x_t + U_z h_{t-1} + b_z)
     g_t = sigm(W_g x_t + U_g h_{t-1} + b_g)
     c_t = tanh(W_c x_t + g_t * (U_c h_{t-1}) + b_c)
     h_t = (1 - z_t) * c_t + z_t * h_{t-1}
+
+    Leading axes are a batch of equal-length sequences, run in step.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("input must be a non-empty [n, input] matrix")
-    if x.shape[1] != params.input_dim:
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ValueError("input must be non-empty [..., n, input] frames")
+    if x.shape[-1] != params.input_dim:
         raise ValueError("input width does not match parameters")
-    n = x.shape[0]
+    lead, (n, i) = x.shape[:-2], x.shape[-2:]
     hd = params.hidden_dim
-    # Input projections for the whole sequence at once.
-    xz = x @ params.W_z.T + params.b_z
-    xg = x @ params.W_g.T + params.b_g
-    xc = x @ params.W_c.T + params.b_c
-    h = np.zeros((n + 1, hd))  # h[0] is the zero initial state
-    z = np.empty((n, hd))
-    g = np.empty((n, hd))
-    c = np.empty((n, hd))
-    u = np.empty((n, hd))
+    # Frame-major [n, B, input]: each frame's batch is one contiguous block.
+    x = np.ascontiguousarray(x.reshape(-1, n, i).transpose(1, 0, 2))
+    b = x.shape[1]
+    # Input projections for every frame of every sequence at once.
+    flat = x.reshape(n * b, i)
+    xz = (flat @ params.W_z.T + params.b_z).reshape(n, b, hd)
+    xg = (flat @ params.W_g.T + params.b_g).reshape(n, b, hd)
+    xc = (flat @ params.W_c.T + params.b_c).reshape(n, b, hd)
+    h = np.zeros((n + 1, b, hd))  # h[0] is the zero initial state
+    z = np.empty((n, b, hd))
+    g = np.empty((n, b, hd))
+    c = np.empty((n, b, hd))
+    u = np.empty((n, b, hd))
+    # Three U products, not one stacked: at B = 1 each is the same BLAS
+    # call as a single sequence's U @ h, so a batch of one keeps its bits.
+    uz, ug, uc = params.U_z.T, params.U_g.T, params.U_c.T
     for t in range(n):
         hp = h[t]
-        z[t] = _sigmoid(xz[t] + params.U_z @ hp)
-        g[t] = _sigmoid(xg[t] + params.U_g @ hp)
-        u[t] = params.U_c @ hp
+        z[t] = _sigmoid(xz[t] + hp @ uz)
+        g[t] = _sigmoid(xg[t] + hp @ ug)
+        u[t] = hp @ uc
         c[t] = np.tanh(xc[t] + g[t] * u[t])
         h[t + 1] = (1.0 - z[t]) * c[t] + z[t] * hp
-    cache = {"x": x, "h": h, "z": z, "g": g, "c": c, "u": u}
-    return h[1:], cache
+    cache = {"x": x, "h": h, "z": z, "g": g, "c": c, "u": u, "lead": lead}
+    return h[1:].transpose(1, 0, 2).reshape(lead + (n, hd)), cache
 
 
 def gru_backward(params, cache, grad_h_seq):
-    """Full BPTT; returns (param grads dict, grad w.r.t. input frames)."""
+    """Full BPTT; returns (param grads dict summed over the batch, grad w.r.t.
+    input frames)."""
     x, h, z, g, c, u = (cache[k] for k in ("x", "h", "z", "g", "c", "u"))
-    n = x.shape[0]
+    n, b, i = x.shape
     hd = params.hidden_dim
-    # Gate gradients stacked z, g, c: rows [0, hd), [hd, 2hd), [2hd, 3hd).
-    d_pre = np.empty((n, 3 * hd))  # per frame: daz, dag, dac
-    d_rec = np.empty(3 * hd)  # daz, dag, du (what reaches U_z, U_g, U_c)
-    g_w = np.zeros((3 * hd, x.shape[1]))
+    gh = np.asarray(grad_h_seq, dtype=np.float64).reshape(b, n, hd).transpose(1, 0, 2)
+    # Gate gradients stacked z, g, c: columns [0, hd), [hd, 2hd), [2hd, 3hd).
+    d_pre = np.empty((n, b, 3 * hd))  # per frame: daz, dag, dac
+    d_rec = np.empty((b, 3 * hd))  # daz, dag, du (what reaches U_z, U_g, U_c)
+    g_w = np.zeros((3 * hd, i))
     g_u = np.zeros((3 * hd, hd))
     g_b = np.zeros(3 * hd)
-    dh = np.zeros(hd)
+    dh = np.zeros((b, hd))
     for t in range(n - 1, -1, -1):
-        dh = dh + grad_h_seq[t]
+        dh = dh + gh[t]
         hp = h[t]
         dz = dh * (hp - c[t])
         daz = dz * z[t] * (1.0 - z[t])
@@ -144,82 +156,93 @@ def gru_backward(params, cache, grad_h_seq):
         dag = dg * g[t] * (1.0 - g[t])
         du = dac * g[t]
         d = d_pre[t]
-        d[:hd], d[hd : 2 * hd], d[2 * hd :] = daz, dag, dac
-        d_rec[: 2 * hd], d_rec[2 * hd :] = d[: 2 * hd], du
-        g_w += d[:, None] * x[t]
-        g_u += d_rec[:, None] * hp
-        g_b += d
-        dh = dh * z[t] + params.U_z.T @ daz + params.U_g.T @ dag + params.U_c.T @ du
+        d[:, :hd], d[:, hd : 2 * hd], d[:, 2 * hd :] = daz, dag, dac
+        d_rec[:, : 2 * hd], d_rec[:, 2 * hd :] = d[:, : 2 * hd], du
+        # np.dot, not @: at B = 1, matmul runs numpy's own loop for this
+        # [3h, 1] x [1, input] outer product, which is twice as slow.
+        g_w += np.dot(d.T, x[t])
+        g_u += np.dot(d_rec.T, hp)
+        g_b += d.sum(axis=0)
+        dh = dh * z[t] + daz @ params.U_z + dag @ params.U_g + du @ params.U_c
+    d_pre = d_pre.reshape(n * b, 3 * hd)
     gx = (d_pre[:, :hd] @ params.W_z + d_pre[:, hd : 2 * hd] @ params.W_g
           + d_pre[:, 2 * hd :] @ params.W_c)
+    gx = gx.reshape(n, b, i).transpose(1, 0, 2).reshape(cache["lead"] + (n, i))
     gp = {}
-    for i, gate in enumerate("zgc"):
-        rows = slice(i * hd, (i + 1) * hd)
+    for k, gate in enumerate("zgc"):
+        rows = slice(k * hd, (k + 1) * hd)
         gp[f"W_{gate}"], gp[f"U_{gate}"], gp[f"b_{gate}"] = g_w[rows], g_u[rows], g_b[rows]
     return gp, gx
 
 
 def conv1d_forward(params, h_seq):
-    """Same-padded conv along frames with tanh; [n, hidden] -> [n, channels]."""
+    """Same-padded conv along frames with tanh; [..., n, hidden] ->
+    [..., n, channels]."""
     kw = params.conv_w.shape[2]
     pad = (kw - 1) // 2
-    n = h_seq.shape[0]
-    padded = np.pad(h_seq, ((pad, pad), (0, 0)))
-    # windows[t, j, k] = padded[t + k, j]
-    windows = np.stack([padded[k : k + n] for k in range(kw)], axis=2)
+    lead, (n, hd) = h_seq.shape[:-2], h_seq.shape[-2:]
+    padded = np.pad(h_seq.reshape(-1, n, hd), ((0, 0), (pad, pad), (0, 0)))
+    # windows[b*n + t, j, k] = padded[b, t + k, j]
+    windows = np.stack([padded[:, k : k + n] for k in range(kw)], axis=3)
+    windows = windows.reshape(-1, hd, kw)
     pre = np.einsum("njk,ojk->no", windows, params.conv_w) + params.conv_b
-    act = np.tanh(pre)
+    act = np.tanh(pre).reshape(lead + (n, -1))
     return act, {"windows": windows, "act": act, "pad": pad, "n": n}
 
 
 def conv1d_backward(params, cache, grad_act):
+    """Returns (weight grad, bias grad) summed over the batch, and the grad
+    w.r.t. the conv input."""
     windows, act, pad, n = cache["windows"], cache["act"], cache["pad"], cache["n"]
-    dpre = grad_act * (1.0 - act**2)
+    _, hd, kw = windows.shape
+    dpre = (grad_act * (1.0 - act**2)).reshape(-1, act.shape[-1])
     g_w = np.einsum("no,njk->ojk", dpre, windows)
     g_b = dpre.sum(axis=0)
     # scatter back through the padded windows
-    kw = params.conv_w.shape[2]
-    dpadded = np.zeros((n + 2 * pad, params.conv_w.shape[1]))
-    contrib = np.einsum("no,ojk->njk", dpre, params.conv_w)
+    contrib = np.einsum("no,ojk->njk", dpre, params.conv_w).reshape(-1, n, hd, kw)
+    dpadded = np.zeros((contrib.shape[0], n + 2 * pad, hd))
     for k in range(kw):
-        dpadded[k : k + n] += contrib[:, :, k]
-    g_h = dpadded[pad : pad + n]
+        dpadded[:, k : k + n] += contrib[..., k]
+    g_h = dpadded[:, pad : pad + n].reshape(act.shape[:-1] + (hd,))
     return g_w, g_b, g_h
 
 
 def temporal_avg_pool(seq):
-    """Elementwise mean over frames; [n, dim] -> [dim]."""
+    """Elementwise mean over frames; [..., n, dim] -> [..., dim]."""
     seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] < 1:
+    if seq.ndim < 2 or seq.shape[-2] < 1:
         raise ValueError("cannot pool an empty sequence")
-    return seq.mean(axis=0)
+    return seq.mean(axis=-2)
 
 
 def temporal_avg_pool_grad(grad_pooled, n):
-    """Gradient scatters grad/n to every frame."""
-    return np.tile(np.asarray(grad_pooled) / n, (n, 1))
+    """Gradient scatters grad/n to every frame; [..., dim] -> [..., n, dim]."""
+    return np.repeat((np.asarray(grad_pooled) / n)[..., None, :], n, axis=-2)
 
 
 def estimator_forward(params, las_values):
-    """Predict an RIR tail from LAS frames; returns (tail [L-1], cache)."""
+    """Predict an RIR tail from LAS frames [..., n, bins]; returns (tail
+    [..., L-1], cache).  Leading axes are a batch of equal-length utterances."""
     h_seq, gru_cache = gru_forward(params, las_values)
     act, conv_cache = conv1d_forward(params, h_seq)
     pooled = temporal_avg_pool(act)
-    tail = params.out_w @ pooled + params.out_b
+    tail = pooled @ params.out_w.T + params.out_b
     cache = {"gru": gru_cache, "conv": conv_cache, "pooled": pooled,
-             "n": las_values.shape[0]}
+             "n": act.shape[-2]}
     return tail, cache
 
 
 def estimator_backward(params, cache, grad_tail):
-    """Exact reverse-mode gradients; returns (UtvEstimatorParams grads, grad LAS)."""
+    """Exact reverse-mode gradients; returns (UtvEstimatorParams grads summed
+    over the batch, grad LAS)."""
     grad_tail = np.asarray(grad_tail, dtype=np.float64)
-    if grad_tail.shape != (params.tail_len,):
-        raise ValueError("grad_tail shape does not match the output layer")
     pooled, n = cache["pooled"], cache["n"]
-    g_out_w = np.outer(grad_tail, pooled)
-    g_out_b = grad_tail.copy()
-    g_pooled = params.out_w.T @ grad_tail
+    if grad_tail.shape != pooled.shape[:-1] + (params.tail_len,):
+        raise ValueError("grad_tail shape does not match the output layer")
+    rows = grad_tail.reshape(-1, params.tail_len)
+    g_out_w = rows.T @ pooled.reshape(-1, pooled.shape[-1])
+    g_out_b = rows.sum(axis=0)
+    g_pooled = grad_tail @ params.out_w
     g_act = temporal_avg_pool_grad(g_pooled, n)
     g_conv_w, g_conv_b, g_hseq = conv1d_backward(params, cache["conv"], g_act)
     gru_grads, g_las = gru_backward(params, cache["gru"], g_hseq)

@@ -59,9 +59,10 @@ class RoomSpec:
 
 
 def assemble(tail):
-    """Full coefficient vector [1, tail...]; position 0 is the direct path."""
+    """Full coefficients [1, tail...] along the last axis; position 0 is the
+    direct path."""
     tail = np.asarray(tail, dtype=np.float64)
-    return np.concatenate(([1.0], tail))
+    return np.concatenate([np.ones(tail.shape[:-1] + (1,)), tail], axis=-1)
 
 
 def decay_rate(t60, sample_rate):

@@ -13,6 +13,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -86,11 +87,12 @@ class _GtiModel:
     def __init__(self, gti):
         self.params = {"gti.tail": gti.tail}
 
-    def forward(self, i):
-        return self.params["gti.tail"], None
+    def forward(self, idx):
+        tail = self.params["gti.tail"]
+        return np.broadcast_to(tail, (len(idx),) + tail.shape), None
 
     def backward(self, cache, grad_tail):
-        return {"gti.tail": grad_tail}
+        return {"gti.tail": grad_tail.sum(axis=0)}
 
 
 class _UtvModel:
@@ -101,8 +103,8 @@ class _UtvModel:
         self.las_cache = reverb_las(dataset) if las_cache is None else las_cache
         self.params = est.as_dict("utv.")
 
-    def forward(self, i):
-        return estimator_forward(self.est, self.las_cache[i])
+    def forward(self, idx):
+        return estimator_forward(self.est, np.stack([self.las_cache[i] for i in idx]))
 
     def backward(self, cache, grad_tail):
         grads, _ = estimator_backward(self.est, cache, grad_tail)
@@ -115,14 +117,39 @@ def _start(dataset, hyper):
     return hyper or TrainHyper()
 
 
+def _length_groups(dataset, idx):
+    """(batch positions, dataset indices) of each utterance length, in batch order."""
+    groups = {}
+    for pos, i in enumerate(idx):
+        groups.setdefault(len(dataset[i].dry), []).append((pos, i))
+    return [tuple(map(list, zip(*g))) for g in groups.values()]
+
+
+def _check_finite(step, utts, loss, grad_rows):
+    """Raise naming the step and the first utterance whose loss or gradient
+    row is not finite."""
+    ok = np.isfinite(loss) & np.all(np.isfinite(grad_rows), axis=-1)
+    if not ok.all():
+        raise ValueError(f"non-finite loss or gradient at step {step}, "
+                         f"utterance {utts[int(np.argmin(ok))].utt_id}")
+
+
+def _row_losses(fn, gen, refs):
+    """fn(gen_row, ref) per row; returns (losses [B], gradients [B, T])."""
+    out = [fn(g, r) for g, r in zip(gen, refs)]
+    return np.array([l for l, _ in out]), np.stack([g for _, g in out])
+
+
 def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
            batch_size, voc=None, sources=None):
     """The training loop; voc and sources add the vocoder's dry branch.
 
-    Per utterance: the model's tail, the render through the convolution,
-    the main loss and its gradient back to the tail (and, with a
-    vocoder, to the FIR, plus the secondary loss on the dry output).
-    Gradients and losses are averaged over the batch before one Adam step.
+    Each step groups its batch by utterance length and runs each group as
+    one array pass: the model's tails [B, L-1], the render through the
+    convolution, the main loss per row and its gradient back to the model
+    (and, with a vocoder, to the FIR, plus the secondary loss on the dry
+    output).  Gradients and losses are averaged over the batch before one
+    Adam step.
     """
     adam = adam or AdamState()
     report = report or TrainReport()
@@ -133,33 +160,39 @@ def _train(dataset, model, steps, hyper, seed, adam, start_step, report,
     for step in range(start_step, start_step + steps):
         ts = time.perf_counter()
         idx = [int(i) for i in _batch_indices(seed, step, len(dataset), batch_size)]
-        total, sec_total, acc = 0.0, 0.0, None
-        for i in idx:
-            utt = dataset[i]
-            tail, cache = model.forward(i)
+        losses, sec_losses, acc = np.zeros(len(idx)), np.zeros(len(idx)), None
+        for pos, group in _length_groups(dataset, idx):
+            utts = [dataset[i] for i in group]
+            tail, cache = model.forward(group)
             h = assemble(tail)
-            dry = utt.dry.samples
+            dry = np.stack([u.dry.samples for u in utts])
             if voc is not None:
-                dry_hat, vcache = vocoder_forward(voc, sources[i])
-                dry = dry_hat.samples
+                dry, vcache = vocoder_forward(
+                    voc, np.stack([sources[i].samples for i in group]))
             r_hat = convolve_fft(dry, h)
-            loss, grad_r = _main_loss(hyper, r_hat, utt.reverb.samples)
+            loss, grad_r = _row_losses(partial(_main_loss, hyper), r_hat,
+                                       [u.reverb.samples for u in utts])
             cg = convolve_grad(dry, h, grad_r, wrt_dry=voc is not None)
-            grads = model.backward(cache, cg.grad_rir[1:])  # direct path is structural
+            _check_finite(step, utts, loss, cg.grad_rir)
+            grads = model.backward(cache, cg.grad_rir[:, 1:])  # direct path is structural
             if voc is not None:
-                sec_l, sec_g = 0.0, 0.0
+                sec_l, sec_g = np.zeros(len(group)), 0.0
                 if hyper.secondary_weight != 0.0:
-                    sec_l, sec_g = secondary_dry_loss(dry, utt.dry.samples,
-                                                      las_cfg=sec_cfg)
-                grads["voc.tail"] = vocoder_backward(
-                    voc, vcache, cg.grad_dry + hyper.secondary_weight * sec_g)
-                sec_total += sec_l
-            total += loss
+                    sec_l, sec_g = _row_losses(
+                        partial(secondary_dry_loss, las_cfg=sec_cfg), dry,
+                        [u.dry.samples for u in utts])
+                grad_dry = cg.grad_dry + hyper.secondary_weight * sec_g
+                _check_finite(step, utts, sec_l, grad_dry)
+                grads["voc.tail"] = vocoder_backward(voc, vcache, grad_dry)
+                sec_losses[pos] = sec_l
+            losses[pos] = loss
             acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
         adam_step(adam, params, {k: g / len(idx) for k, g in acc.items()},
                   hyper.lr, hyper.beta1, hyper.beta2)
-        sec = None if voc is None else hyper.secondary_weight * sec_total / len(idx)
-        report.log(step, total / len(idx), sec,
+        # Losses add up in batch order, one utterance after another.
+        sec = (None if voc is None
+               else hyper.secondary_weight * sum(sec_losses.tolist()) / len(idx))
+        report.log(step, sum(losses.tolist()) / len(idx), sec,
                    wall_ms=(time.perf_counter() - ts) * 1e3)
     report.final_checksum = params_checksum(params)
     return adam, report
@@ -191,7 +224,7 @@ def train_utv(dataset, params_init, steps, hyper=None, seed=0,
 
 
 def predict_rir_tail(params, las_values):
-    """Inference-time tail prediction (no cache kept)."""
+    """Inference-time tail prediction from one utterance's LAS (no cache kept)."""
     tail, _ = estimator_forward(params, las_values)
     return tail
 

@@ -79,7 +79,8 @@ def sine_source(track, harmonics, amp, seed):
 
 
 def vocoder_forward(params, source):
-    """Filter the source: d = source * fir, truncated to the source length.
+    """Filter each source row [..., T]: d = source * fir, truncated to the
+    source length.
 
     The cache is the source: the FIR gradient does not depend on the FIR.
     """
@@ -87,5 +88,7 @@ def vocoder_forward(params, source):
 
 
 def vocoder_backward(params, cache, grad_dry):
-    """Gradient w.r.t. the FIR tail; the unit tap is not a parameter."""
-    return convolve_grad(cache, params.fir, grad_dry, wrt_dry=False).grad_rir[1:]
+    """Gradient w.r.t. the FIR tail, summed over the source rows; the unit
+    tap is not a parameter."""
+    g = convolve_grad(cache, params.fir, grad_dry, wrt_dry=False).grad_rir[..., 1:]
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)

@@ -1,10 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reverbkit
 from reverbkit.cli import _build_parser, run
 from reverbkit.dsp import Waveform
 from reverbkit.fileio import read_rir, read_wav, write_rir, write_wav
@@ -221,16 +225,24 @@ def _one_line_error(capsys):
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]",
                                      '{"train-gti": [1, 2]}',
                                      '{"train-gti": {"steps": "3"}}',
-                                     '{"train-gti": {"lr": true}}'])
+                                     '{"train-gti": {"lr": true}}',
+                                     '{"simulate": {"rooms": 5}}',
+                                     '{"apply": {"rir": 3}}',
+                                     '{"apply": {"las_source": 3}}'])
 def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if content is not None:
         cfg.write_text(content)
-    rc = run(["--out", str(tmp_path), "--config", str(cfg), "train-gti",
-              "--manifest", str(dataset / "manifest.json")])
+    commands = {
+        "train-gti": ["--manifest", str(dataset / "manifest.json")],
+        "simulate": ["--utts", "2", "--duration", "0.1"],
+        "apply": ["--dry", str(tmp_path / "d.wav"), "--out-wav", str(tmp_path / "w.wav")],
+    }
+    command = next((c for c in commands if f'"{c}"' in (content or "")), "train-gti")
+    rc = run(["--out", str(tmp_path), "--config", str(cfg), command, *commands[command]])
     assert rc == 1
     err = _one_line_error(capsys)
-    for key in ("steps", "lr"):
+    for key in ("steps", "lr", "rooms", "rir", "las_source"):
         if f'"{key}"' in (content or ""):
             assert repr(key) in err
 
@@ -396,3 +408,19 @@ def test_truncated_wav_is_runtime_error(tmp_path, capsys):
               "--out-wav", str(tmp_path / "o.wav")])
     assert rc == 1
     assert "past the end" in _one_line_error(capsys)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_threads_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_VARS, preset))
+    env["PYTHONPATH"] = str(Path(reverbkit.__file__).parent.parent)
+    code = (f"import os, reverbkit, numpy; "
+            f"print(*(os.environ[v] for v in {BLAS_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [want] * len(BLAS_VARS)

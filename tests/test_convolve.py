@@ -153,3 +153,35 @@ def test_edge_sizes_match_numpy(T, L):
     assert np.all(cg.grad_rir[T:] == 0.0)
     assert np.max(np.abs(cg.grad_dry - want_dry)) <= 1e-12 * T
 
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("T,L", [(500, 40), (8000, 1024)])
+def test_rows_equal_single_row_calls_bit_for_bit(T, L):
+    rng = np.random.default_rng(T + L)
+    d, g = rng.standard_normal((4, T)), rng.standard_normal((4, T))
+    h = 0.1 * rng.standard_normal((4, L))
+    h[2] = 0.0
+    h[2, 0] = 0.8  # a pure direct path beside three FIR rows
+    out = convolve_fft(d, h)
+    cg = convolve_grad(d, h, g)
+    for b in range(4):
+        one = convolve_grad(d[b], h[b], g[b])
+        assert _same_bits(out[b], convolve_fft(d[b], h[b]))
+        assert _same_bits(cg.grad_rir[b], one.grad_rir)
+        assert _same_bits(cg.grad_dry[b], one.grad_dry)
+    assert _same_bits(out[2], 0.8 * d[2])
+
+
+def test_one_rir_serves_every_row():
+    rng = np.random.default_rng(31)
+    d, g, h = (rng.standard_normal((3, 200)), rng.standard_normal((3, 200)),
+               rng.standard_normal(16))
+    rows = np.tile(h, (3, 1))
+    assert _same_bits(convolve_fft(d, h), convolve_fft(d, rows))
+    shared, per_row = convolve_grad(d, h, g), convolve_grad(d, rows, g)
+    assert _same_bits(shared.grad_rir, per_row.grad_rir)
+    assert _same_bits(shared.grad_dry, per_row.grad_dry)

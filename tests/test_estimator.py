@@ -175,3 +175,37 @@ def test_init_near_identity():
     x = np.random.default_rng(0).standard_normal((20, 257))
     tail, _ = estimator_forward(p, x)
     assert np.max(np.abs(tail)) < 0.05
+
+
+def test_batched_pass_equals_sum_of_per_row_passes():
+    p = tiny_params(seed=11)
+    rng = np.random.default_rng(12)
+    x, g = rng.standard_normal((3, 6, 8)), rng.standard_normal((3, 15))
+    tail, cache = estimator_forward(p, x)
+    grads, gx = estimator_backward(p, cache, g)
+    assert tail.shape == (3, 15) and gx.shape == x.shape
+    want = None
+    for b in range(3):
+        t1, c1 = estimator_forward(p, x[b])
+        g1, gx1 = estimator_backward(p, c1, g[b])
+        assert np.max(np.abs(tail[b] - t1)) <= 1e-12 * np.max(np.abs(t1))
+        assert np.max(np.abs(gx[b] - gx1)) <= 1e-12 * np.max(np.abs(gx1))
+        d = g1.as_dict()
+        want = d if want is None else {k: want[k] + d[k] for k in d}
+    for k, arr in grads.as_dict().items():
+        assert np.max(np.abs(arr - want[k])) <= 1e-12 * np.max(np.abs(want[k])), k
+
+
+def test_batch_of_one_is_bit_equal_to_the_2d_call():
+    p = tiny_params(seed=13)
+    rng = np.random.default_rng(14)
+    x, g = rng.standard_normal((7, 8)), rng.standard_normal(15)
+    tail, cache = estimator_forward(p, x)
+    tail1, cache1 = estimator_forward(p, x[None])
+    assert tail.shape == (15,) and tail1.shape == (1, 15)
+    assert tail1[0].tobytes() == tail.tobytes()
+    grads, gx = estimator_backward(p, cache, g)
+    grads1, gx1 = estimator_backward(p, cache1, g[None])
+    assert gx1[0].tobytes() == gx.tobytes()
+    for k, arr in grads.as_dict().items():
+        assert grads1.as_dict()[k].tobytes() == arr.tobytes(), k

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -7,15 +8,16 @@ import pytest
 from reverbkit import dsp
 from reverbkit.convolve import convolve_fft, convolve_grad
 from reverbkit.dsp import StftConfig
-from reverbkit.estimator import UtvEstimatorParams
+from reverbkit.estimator import (UtvEstimatorParams, estimator_backward,
+                                 estimator_forward)
 from reverbkit.fileio import load_checkpoint, save_checkpoint
-from reverbkit.losses import MrsdConfig, mrsd_loss
+from reverbkit.losses import MrsdConfig, mrsd_loss, waveform_mse_loss
 from reverbkit.optim import AdamState, grad_check
 from reverbkit.rir import GtiRir, Rir, RoomSpec, assemble, synth_rir
 from reverbkit.simdata import Utterance, synth_dry
 from reverbkit.training import (TrainHyper, TrainReport, _batch_indices,
-                                params_checksum, train_gti, train_mt,
-                                train_utv, utterance_sources)
+                                params_checksum, reverb_las, train_gti,
+                                train_mt, train_utv, utterance_sources)
 from reverbkit.vocoder import ToyVocoderParams
 
 FS = 8000
@@ -299,3 +301,47 @@ def test_utterance_step_transforms_half_the_complex_points(monkeypatch):
     _, grad = mrsd_loss(convolve_fft(dry, h), ref)
     convolve_grad(dry, h, grad, wrt_dry=False)
     assert sum(points) <= 163_584 // 2
+
+
+def two_length_dataset():
+    """Three 0.5 s and three 0.625 s utterances of one room, ids u0-u2, v0-v2."""
+    short, _ = tiny_dataset(n=3)
+    longer, _ = tiny_dataset(n=3, duration=0.625, seed=501)
+    return short + [dataclasses.replace(u, utt_id=f"v{i}")
+                    for i, u in enumerate(longer)]
+
+
+def test_step_gradient_is_the_per_utterance_average_across_lengths():
+    # Seed 6's first batch holds both lengths, so the step runs two
+    # array passes; adam.m / (1 - beta1) after one step is the gradient
+    # the loop applied.
+    utts = two_length_dataset()
+    hy = TrainHyper(lr=3e-3, loss="wave", batch_size=4)
+    idx = [int(i) for i in _batch_indices(6, 0, len(utts), 4)]
+    assert len({len(utts[i].dry) for i in idx}) == 2
+    est = tiny_estimator(seed=2)
+    _, adam, rep = train_utv(utts, tiny_estimator(seed=2), 1, hy, seed=6)
+    feats = reverb_las(utts)
+    want, losses = None, []
+    for i in idx:
+        tail, cache = estimator_forward(est, feats[i])
+        h = assemble(tail)
+        loss, grad_r = waveform_mse_loss(convolve_fft(utts[i].dry.samples, h),
+                                         utts[i].reverb.samples)
+        cg = convolve_grad(utts[i].dry.samples, h, grad_r, wrt_dry=False)
+        g = estimator_backward(est, cache, cg.grad_rir[1:])[0].as_dict("utv.")
+        want = g if want is None else {k: want[k] + g[k] for k in g}
+        losses.append(loss)
+    assert abs(rep.records[0]["main_loss"] - np.mean(losses)) <= 1e-12 * np.mean(losses)
+    for k, total in want.items():
+        mean = total / len(idx)
+        got = adam.m[k] / (1.0 - hy.beta1)
+        assert np.max(np.abs(got - mean)) <= 1e-12 * np.max(np.abs(mean)), k
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_non_finite_step_names_the_step_and_the_utterance():
+    utts, _ = tiny_dataset(n=4)
+    first = int(_batch_indices(0, 0, len(utts), 4)[0])
+    with pytest.raises(ValueError, match=f"step 0, utterance u{first}$"):
+        train_gti(utts, 64, 1, wave_hyper(), seed=0, gti=Rir(np.full(63, 1e308), FS))
