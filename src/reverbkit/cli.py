@@ -22,85 +22,76 @@ from .training import (TrainHyper, predict_rir_tail, train_gti, train_mt,
                        train_utv)
 from .vocoder import ToyVocoderParams
 
+# Every key of every command, in flag order, with its default; a path key's
+# default is None (unset) or a Path.  "reverbkit" holds the flags before the
+# command name: every command shares them, but for config, which names the
+# --config file and is not itself a setting.
+_TRAIN = {"manifest": None, "rir_len": 256, "steps": 500, "loss": "mrsd",
+          "lr": 1e-3, "split": "train"}
+_ESTIMATOR = {"hidden": 32, "channels": 32, "kernel": 11}
 DEFAULTS = {
-    "simulate": {"utts": 200, "duration": 2.0, "fs": 8000, "rooms": None},
-    "train-gti": {"rir_len": 256, "steps": 500, "loss": "mrsd", "lr": 1e-3,
-                  "split": "train", "batch": 4},
-    "train-utv": {"rir_len": 256, "steps": 1000, "loss": "mrsd", "lr": 1e-3,
-                  "split": "train", "hidden": 32, "channels": 32, "kernel": 11},
-    "train-mt": {"rir_len": 256, "steps": 1000, "loss": "mrsd", "lr": 1e-3,
-                 "split": "train", "hidden": 32, "channels": 32, "kernel": 11,
-                 "secondary_weight": 1.0, "fir_taps": 32},
-    "apply": {}, "t60": {}, "evaluate": {"split": "test_seen"}, "gradcheck": {},
+    "reverbkit": {"seed": 0, "config": None, "out": Path(".")},
+    "simulate": {"rooms": None, "utts": 200, "duration": 2.0, "fs": 8000},
+    "train-gti": {**_TRAIN, "batch": 4},
+    "train-utv": {**_TRAIN, "steps": 1000, **_ESTIMATOR},
+    "train-mt": {**_TRAIN, "steps": 1000, **_ESTIMATOR, "secondary_weight": 1.0,
+                 "fir_taps": 32},
+    "apply": {"dry": None, "rir": None, "ckpt": None, "las_source": None,
+              "out_wav": None},
+    "t60": {"rir": None},
+    "evaluate": {"manifest": None, "model": None, "split": "test_seen",
+                 "plot_csv": None},
+    "gradcheck": {"module": "all"},
 }
+REQUIRED = {**dict.fromkeys(("train-gti", "train-utv", "train-mt"), ("manifest",)),
+            "apply": ("dry", "out_wav"), "t60": ("rir",),
+            "evaluate": ("manifest", "model")}
+CHOICES = {"loss": ["mrsd", "wave"], "module": ["all", *checks.ALL_CHECKS]}
+HELP = {"config": "JSON file overriding defaults",
+        "model": "a .rir file or a UTV checkpoint",
+        "rooms": "JSON room specs {seen:[],unseen:[]}"}
 
 
-def _add_default_flags(s, command):
-    """--key-with-dashes, typed like its default, for each valued default."""
-    for key, default in DEFAULTS[command].items():
-        if default is not None:
-            s.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                           choices=["mrsd", "wave"] if key == "loss" else None)
+def _kind(default):
+    """A key's flag type: a path key's is Path; in JSON it is a string."""
+    return Path if default is None or isinstance(default, Path) else type(default)
 
 
 def _build_parser():
-    p = argparse.ArgumentParser(prog="reverbkit",
+    """One --key-with-dashes flag per key of DEFAULTS; argparse fills in no
+    default, so the parsed namespace holds only the flags given."""
+    def add_flags(parser, command):
+        for key, default in DEFAULTS[command].items():
+            parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                                type=_kind(default), choices=CHOICES.get(key),
+                                required=key in REQUIRED.get(command, ()),
+                                help=HELP.get(key))
+
+    p = argparse.ArgumentParser(prog="reverbkit", argument_default=argparse.SUPPRESS,
                                 description="trainable reverberation toolkit")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", type=Path, help="JSON file overriding defaults")
-    p.add_argument("--out", type=Path, default=Path("."))
+    add_flags(p, "reverbkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("simulate", help="build a synthetic dataset")
-    s.add_argument("--rooms", type=Path, help="JSON room specs {seen:[],unseen:[]}")
-    _add_default_flags(s, "simulate")
-
-    for name in ("train-gti", "train-utv", "train-mt"):
-        s = sub.add_parser(name, help=f"run {name.replace('-', ' ')}")
-        s.add_argument("--manifest", type=Path, required=True)
-        _add_default_flags(s, name)
-
-    s = sub.add_parser("apply", help="convolve a dry file with an RIR model")
-    s.add_argument("--dry", type=Path, required=True)
-    s.add_argument("--rir", type=Path)
-    s.add_argument("--ckpt", type=Path)
-    s.add_argument("--las-source", dest="las_source", type=Path)
-    s.add_argument("--out-wav", dest="out_wav", type=Path, required=True)
-
-    s = sub.add_parser("t60", help="print the T60 of an RIR file in seconds")
-    s.add_argument("--rir", type=Path, required=True)
-
-    s = sub.add_parser("evaluate", help="T60 error statistics on a manifest")
-    s.add_argument("--manifest", type=Path, required=True)
-    s.add_argument("--model", type=Path, required=True,
-                   help="a .rir file or a UTV checkpoint")
-    _add_default_flags(s, "evaluate")
-    s.add_argument("--plot-csv", dest="plot_csv", type=Path)
-
-    s = sub.add_parser("gradcheck", help="verify every analytic gradient path")
-    s.add_argument("--module", default="all",
-                   choices=["all", *checks.ALL_CHECKS])
+    for command, (_, help_text) in _COMMANDS.items():
+        add_flags(sub.add_parser(command, help=help_text,
+                                 argument_default=argparse.SUPPRESS), command)
     return p
 
 
 def _resolve(args):
-    defaults = DEFAULTS.get(args.command, {})
-    cfg = dict(defaults)
-    if args.config:
-        overlay = json.loads(args.config.read_text(encoding="utf-8"))
+    """Defaults, then the --config file's section for the command (or the
+    whole file), then the flags given."""
+    given = dict(vars(args))
+    command, config = given.pop("command"), given.pop("config", None)
+    cfg = {**DEFAULTS["reverbkit"], **DEFAULTS[command]}
+    del cfg["config"]
+    if config is not None:
+        overlay = simdata.read_json(config)
         if isinstance(overlay, dict):
-            overlay = overlay.get(args.command, overlay)
-        # A key takes its default's type.  A flag without a default that the
-        # command line left unset names a file: its key must be a string.
-        typed = {k: str for k, v in vars(args).items() if v is None}
-        typed.update({k: type(v) for k, v in defaults.items() if v is not None})
-        cfg.update(simdata.check_fields(overlay, typed, args.config, optional=typed))
-    for key, val in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if val is not None:
-            cfg[key] = val
-    print(f"resolved config: {json.dumps({k: str(v) if isinstance(v, Path) else v for k, v in cfg.items()}, sort_keys=True)}",
+            overlay = overlay.get(command, overlay)
+        kinds = {k: str if _kind(v) is Path else _kind(v) for k, v in cfg.items()}
+        cfg.update(simdata.check_fields(overlay, kinds, config, optional=kinds))
+    cfg.update(given)
+    print(f"resolved config: {json.dumps(cfg, sort_keys=True, default=str)}",
           file=sys.stderr)
     return cfg
 
@@ -110,7 +101,7 @@ def _cmd_simulate(cfg):
                     if cfg["rooms"] is None else simdata.load_rooms(cfg["rooms"]))
     manifest = simdata.build_dataset(seen, unseen, cfg["utts"], cfg["duration"],
                                      cfg["fs"], cfg["out"], cfg["seed"])
-    print(json.dumps({"out": str(cfg["out"]), "entries": len(manifest.entries)}))
+    print(json.dumps({"out": str(manifest.root), "entries": len(manifest.entries)}))
     return 0
 
 
@@ -175,9 +166,9 @@ def _cmd_train_mt(cfg):
 
 def _cmd_apply(cfg):
     dry = read_wav(cfg["dry"])
-    if cfg.get("rir"):
+    if cfg["rir"]:
         coeffs = read_rir(cfg["rir"]).coefficients
-    elif cfg.get("ckpt") and cfg.get("las_source"):
+    elif cfg["ckpt"] and cfg["las_source"]:
         params = UtvEstimatorParams.from_dict(load_checkpoint(cfg["ckpt"]), "utv.")
         tail = predict_rir_tail(params, las(read_wav(cfg["las_source"])).values)
         coeffs = assemble(tail)
@@ -198,12 +189,11 @@ def _cmd_t60(cfg):
 
 def _cmd_evaluate(cfg):
     manifest = simdata.load_manifest(cfg["manifest"])
-    model_path = Path(cfg["model"])
-    if model_path.suffix == ".rir":
-        fixed_t60 = estimate_t60(read_rir(model_path))
+    if cfg["model"].suffix == ".rir":
+        fixed_t60 = estimate_t60(read_rir(cfg["model"]))
         predict = lambda e: fixed_t60
     else:
-        params = UtvEstimatorParams.from_dict(load_checkpoint(model_path), "utv.")
+        params = UtvEstimatorParams.from_dict(load_checkpoint(cfg["model"]), "utv.")
 
         def predict(e):
             wave = read_wav(manifest.root / e["reverb_path"])
@@ -231,7 +221,7 @@ def _cmd_evaluate(cfg):
     pooled = (t60_error_stats([e for _, e in pooled], [t for t, _ in pooled])
               if pooled else None)
     print(json.dumps({"rooms": room_stats, "pooled": pooled}, indent=1))
-    if cfg.get("plot_csv"):
+    if cfg["plot_csv"]:
         with open(cfg["plot_csv"], "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["utt_id", "room_id", "t60_truth", "t60_est", "error"])
@@ -249,15 +239,15 @@ def _cmd_gradcheck(cfg):
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "train-gti": _cmd_train_gti,
-    "train-utv": _cmd_train_utv,
-    "train-mt": _cmd_train_mt,
-    "apply": _cmd_apply,
-    "t60": _cmd_t60,
-    "evaluate": _cmd_evaluate,
-    "gradcheck": _cmd_gradcheck,
+_COMMANDS = {  # name: (run, help)
+    "simulate": (_cmd_simulate, "build a synthetic dataset"),
+    "train-gti": (_cmd_train_gti, "run train gti"),
+    "train-utv": (_cmd_train_utv, "run train utv"),
+    "train-mt": (_cmd_train_mt, "run train mt"),
+    "apply": (_cmd_apply, "convolve a dry file with an RIR model"),
+    "t60": (_cmd_t60, "print the T60 of an RIR file in seconds"),
+    "evaluate": (_cmd_evaluate, "T60 error statistics on a manifest"),
+    "gradcheck": (_cmd_gradcheck, "verify every analytic gradient path"),
 }
 
 
@@ -269,7 +259,7 @@ def run(argv):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](_resolve(args))
+        return _COMMANDS[args.command][0](_resolve(args))
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -98,15 +98,21 @@ def synth_rir(spec, length, sample_rate, min_decay_db=30.0):
     return Rir(tail, sample_rate)
 
 
+def _decay(coeffs):
+    """Tail energy from each sample on over the total (the Schroeder
+    backward integral), as a fraction and in dB."""
+    energy = np.asarray(coeffs, dtype=np.float64)**2
+    remaining = np.cumsum(energy[::-1])[::-1]
+    if not remaining.size or remaining[0] <= 0:
+        raise ValueError("all-zero RIR has no decay curve")
+    fraction = remaining / remaining[0]
+    return fraction, 10.0 * np.log10(np.maximum(fraction, 1e-300))
+
+
 def edc(coeffs):
     """Schroeder energy decay curve in dB: tail energy from each sample on,
     relative to the total (so the first value is 0)."""
-    energy = np.asarray(coeffs, dtype=np.float64)**2
-    total = energy.sum()
-    if total <= 0:
-        raise ValueError("all-zero RIR has no decay curve")
-    remaining = np.cumsum(energy[::-1])[::-1]
-    return 10.0 * np.log10(np.maximum(remaining / total, 1e-300))
+    return _decay(coeffs)[1]
 
 
 def _line_fit_t60(idx, db, sample_rate):
@@ -132,7 +138,7 @@ def estimate_t60(h, sample_rate=None):
         coeffs, fs = np.asarray(h, dtype=np.float64), sample_rate
     if fs is None:
         raise ValueError("sample rate required")
-    db = edc(coeffs)
+    fraction, db = _decay(coeffs)
     below = np.nonzero(db <= -25.0)[0]
     if len(db) <= 2 or (below.size and below[0] <= 1):
         return 0.0  # bare impulse convention
@@ -142,10 +148,14 @@ def estimate_t60(h, sample_rate=None):
     if below.size and below[0] <= safe_end:
         idx = np.arange(start, below[0] + 1)
         return _line_fit_t60(idx, db[idx], fs)
-    return _truncated_decay_fit_t60(coeffs, fs, start, safe_end)
+    return _truncated_decay_fit_t60(fraction, db, fs, start, safe_end)
 
 
-def _truncated_decay_fit_t60(coeffs, fs, start, end, t60_min=0.01, t60_max=3.0):
+# The truncated-decay fit searches T60 candidates in this range (seconds).
+FIT_T60_MIN, FIT_T60_MAX = 0.01, 3.0
+
+
+def _truncated_decay_fit_t60(fraction, db, fs, start, end):
     """Fit tail energies to alpha * rho^n + beta; robust to truncation.
 
     The additive beta absorbs the energy the truncated RIR never
@@ -153,16 +163,12 @@ def _truncated_decay_fit_t60(coeffs, fs, start, end, t60_min=0.01, t60_max=3.0):
     curve stops well short of -25 dB.  Coarse geometric grid over T60
     candidates, then golden-section refinement.
     """
-    energy = coeffs**2
-    remaining = np.cumsum(energy[::-1])[::-1]
-    total = remaining[0]
-    db = 10.0 * np.log10(np.maximum(remaining / total, 1e-300))
     if db[end] > -10.0:
         raise ValueError(
             "RIR too short: energy decay curve never reaches a usable depth"
         )
     n = np.arange(start, end + 1).astype(np.float64)
-    y = remaining[start : end + 1] / total
+    y = fraction[start : end + 1]
     ydb = db[start : end + 1]
     ones = np.ones_like(n)
 
@@ -175,12 +181,12 @@ def _truncated_decay_fit_t60(coeffs, fs, start, end, t60_min=0.01, t60_max=3.0):
             return np.inf
         return float(np.sum((10.0 * np.log10(model) - ydb) ** 2))
 
-    grid = np.geomspace(t60_min, t60_max, 200)
+    grid = np.geomspace(FIT_T60_MIN, FIT_T60_MAX, 200)
     scores = [residual(t) for t in grid]
     i = int(np.argmin(scores))
     if i == len(grid) - 1:
         raise ValueError(f"decay too slow to measure: best fit at the "
-                         f"{t60_max} s search ceiling")
+                         f"{FIT_T60_MAX} s search ceiling")
     a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - phi * (b - a), a + phi * (b - a)

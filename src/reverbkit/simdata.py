@@ -7,7 +7,7 @@ seed, so a rebuild is byte-identical.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -162,10 +162,7 @@ def build_dataset(rooms, unseen_rooms, n_utts, duration, fs, out_dir, seed):
         "sample_rate": fs,
         "seed": seed,
         "duration": duration,
-        "rooms": [{"room_id": r.room_id, "t60": r.t60,
-                   "direct_to_reverb_db": r.direct_to_reverb_db,
-                   "onset_delay": r.onset_delay, "seed": r.seed,
-                   "seen": r in rooms} for r in all_rooms],
+        "rooms": [{**asdict(r), "seen": r in rooms} for r in all_rooms],
         "entries": entries,
     }
     (out / "manifest.json").write_text(
@@ -195,12 +192,16 @@ def check_fields(d, fields, where, optional=()):
     return d
 
 
-def _read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def read_json(path):
+    """The content of a JSON file; an undecodable file is a ValueError that
+    names it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # json.JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {e}") from e
 
 
-ROOM_FIELDS = {"room_id": str, "t60": float, "direct_to_reverb_db": float,
-               "onset_delay": int, "seed": int}
+ROOM_FIELDS = {f.name: f.type for f in fields(RoomSpec)}
 ENTRY_FIELDS = {"split": str, "utt_id": str, "room_id": str, "t60_truth": float,
                 "dry_path": str, "reverb_path": str, "f0_path": str}
 F0_FIELDS = {"f0": list, "vuv": list, "frame_shift": int, "sample_rate": int}
@@ -217,7 +218,7 @@ def _room_from_json(r, where, optional):
 def load_rooms(path):
     """(seen, unseen) RoomSpec lists of a rooms file {"seen": [...], "unseen": [...]};
     unseen and each room's direct_to_reverb_db and onset_delay may be left out."""
-    d = check_fields(_read_json(path), {"seen": list, "unseen": list}, path,
+    d = check_fields(read_json(path), {"seen": list, "unseen": list}, path,
                      optional=("unseen",))
     optional = ("direct_to_reverb_db", "onset_delay")
     return tuple([_room_from_json(r, f"{path}: {group} room {i}", optional)
@@ -227,7 +228,7 @@ def load_rooms(path):
 
 def load_manifest(path):
     path = Path(path)
-    d = check_fields(_read_json(path),
+    d = check_fields(read_json(path),
                      {"rooms": list, "entries": list, "sample_rate": int}, path)
     rooms = [_room_from_json(r, f"{path}: room {i}", ())
              for i, r in enumerate(d["rooms"])]
@@ -246,7 +247,7 @@ def load_utterances(manifest, splits=("train",)):
         dry = read_wav(manifest.root / e["dry_path"])
         reverb = read_wav(manifest.root / e["reverb_path"])
         f0_path = manifest.root / e["f0_path"]
-        d = check_fields(_read_json(f0_path), F0_FIELDS, f0_path)
+        d = check_fields(read_json(f0_path), F0_FIELDS, f0_path)
         f0 = F0Track(d["f0"], d["vuv"], d["frame_shift"], d["sample_rate"])
         utts.append(Utterance(e["utt_id"], dry, reverb, f0, e["room_id"],
                               e["t60_truth"], e["split"]))

@@ -189,6 +189,31 @@ def test_flag_overrides_config(dataset, tmp_path, capsys):
     assert len(report) == 3
 
 
+def test_parsed_flags_are_only_those_given():
+    args = _build_parser().parse_args(["--seed", "2", "t60", "--rir", "h.rir"])
+    assert vars(args) == {"seed": 2, "command": "t60", "rir": Path("h.rir")}
+
+
+@pytest.mark.parametrize("flags,out,seed", [((), "d", 5),
+                                           (("--seed", "3", "--out", "e"), "e", 3)])
+def test_config_seed_and_out_yield_only_to_flags(tmp_path, monkeypatch, capsys,
+                                                 flags, out, seed):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"simulate": {"seed": 5, "out": "d", "utts": 4, "duration": 0.1}}))
+    assert run([*flags, "--config", "cfg.json", "simulate"]) == 0
+    assert json.loads(capsys.readouterr().out)["out"] == out
+    assert json.loads((tmp_path / out / "manifest.json").read_text())["seed"] == seed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", out]
+
+
+def test_config_picks_gradcheck_module(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gradcheck": {"module": "mrsd"}}))
+    assert run(["--config", str(cfg), "gradcheck"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["checks"]) == ["mrsd"]
+
+
 def test_missing_file_is_runtime_error(tmp_path, capsys):
     rc = run(["t60", "--rir", str(tmp_path / "nope.rir")])
     capsys.readouterr()
@@ -228,7 +253,10 @@ def _one_line_error(capsys):
                                      '{"train-gti": {"lr": true}}',
                                      '{"simulate": {"rooms": 5}}',
                                      '{"apply": {"rir": 3}}',
-                                     '{"apply": {"las_source": 3}}'])
+                                     '{"apply": {"las_source": 3}}',
+                                     '{"simulate": {"seed": "5"}}',
+                                     '{"simulate": {"out": 5}}',
+                                     '{"gradcheck": {"module": 3}}'])
 def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -237,12 +265,13 @@ def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
         "train-gti": ["--manifest", str(dataset / "manifest.json")],
         "simulate": ["--utts", "2", "--duration", "0.1"],
         "apply": ["--dry", str(tmp_path / "d.wav"), "--out-wav", str(tmp_path / "w.wav")],
+        "gradcheck": [],
     }
     command = next((c for c in commands if f'"{c}"' in (content or "")), "train-gti")
     rc = run(["--out", str(tmp_path), "--config", str(cfg), command, *commands[command]])
     assert rc == 1
     err = _one_line_error(capsys)
-    for key in ("steps", "lr", "rooms", "rir", "las_source"):
+    for key in ("steps", "lr", "rooms", "rir", "las_source", "seed", "out", "module"):
         if f'"{key}"' in (content or ""):
             assert repr(key) in err
 
@@ -350,11 +379,22 @@ def test_subcommand_options_are_pinned():
         "t60": {"--rir": ("rir", Path)},
         "evaluate": {"--manifest": ("manifest", Path), "--model": ("model", Path),
                      "--split": ("split", str), "--plot-csv": ("plot_csv", Path)},
-        "gradcheck": {"--module": ("module", None)},
+        "gradcheck": {"--module": ("module", str)},
     }
     for cmd in ("train-gti", "train-utv", "train-mt"):
         loss = next(a for a in sub.choices[cmd]._actions if a.dest == "loss")
         assert loss.choices == ["mrsd", "wave"]
+
+
+def test_required_flags_are_pinned():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    required = {cmd: [a.dest for a in p._actions if a.required]
+                for cmd, p in sub.choices.items()}
+    train = ["manifest"]
+    assert required == {"simulate": [], "train-gti": train, "train-utv": train,
+                        "train-mt": train, "apply": ["dry", "out_wav"], "t60": ["rir"],
+                        "evaluate": ["manifest", "model"], "gradcheck": []}
 
 
 @pytest.fixture(scope="module")
