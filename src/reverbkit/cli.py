@@ -78,18 +78,24 @@ def _build_parser():
 
 
 def _resolve(args):
-    """Defaults, then the --config file's section for the command (or the
-    whole file), then the flags given."""
+    """Defaults, then the --config file's section for the command (or, if it
+    has none, its keys naming no command), then the flags given."""
     given = dict(vars(args))
     command, config = given.pop("command"), given.pop("config", None)
     cfg = {**DEFAULTS["reverbkit"], **DEFAULTS[command]}
     del cfg["config"]
     if config is not None:
-        overlay = simdata.read_json(config)
+        overlay, unread = simdata.read_json(config), []
         if isinstance(overlay, dict):
-            overlay = overlay.get(command, overlay)
-        kinds = {k: str if _kind(v) is Path else _kind(v) for k, v in cfg.items()}
+            flat = {k: v for k, v in overlay.items() if k not in _COMMANDS}
+            overlay, unread = ((overlay[command], [*flat]) if command in overlay
+                               else (flat, []))
+        kinds = {k: str if _kind(v) is Path else _kind(v) for k, v in cfg.items()
+                 if k not in REQUIRED.get(command, ())}
         cfg.update(simdata.check_fields(overlay, kinds, config, optional=kinds))
+        unread += [k for k in overlay if k not in kinds]
+        if unread:
+            raise ValueError(f"{config}: {command} reads no key {unread[0]!r}")
     cfg.update(given)
     print(f"resolved config: {json.dumps(cfg, sort_keys=True, default=str)}",
           file=sys.stderr)

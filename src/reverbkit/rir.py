@@ -2,8 +2,9 @@
 
 An RIR always has a unit direct path: the first coefficient is 1 and is
 never trainable, so only the L-1 tail values are free.  T60 estimation
-uses Schroeder backward integration of the coefficient energies with a
-line fit over the [-5, -25] dB span of the decay curve.
+uses Schroeder backward integration of the coefficient energies, then a
+line fit over the [-5, -25] dB span or, on a shorter curve, a decay-model
+fit that scores every T60 candidate in one array pass.
 """
 
 from dataclasses import dataclass
@@ -129,8 +130,9 @@ def estimate_t60(h, sample_rate=None):
     Fits a line to the Schroeder decay curve over the [-5, -25] dB window
     and extrapolates to -60 dB.  A bare impulse (decay below -25 dB within
     two samples) returns 0.  When the curve never reaches -25 dB before
-    truncation effects take over, an iterative truncation compensation
-    extends the usable range; RIRs with almost no measurable decay raise.
+    truncation effects take over, a decay model with a constant for the
+    truncated energy is fitted instead; RIRs with almost no measurable
+    decay, or whose best fit is the slowest decay searched, raise.
     """
     if isinstance(h, Rir):
         coeffs, fs = h.coefficients, h.sample_rate
@@ -155,13 +157,28 @@ def estimate_t60(h, sample_rate=None):
 FIT_T60_MIN, FIT_T60_MAX = 0.01, 3.0
 
 
+def _decay_misfits(t60s, n, y, ydb, fs):
+    """Log-domain misfit of the best alpha * rho^n + beta for each T60 (rho
+    its per-sample energy ratio): all 2 x 2 normal equations solved at once,
+    centred so a rho near 1 loses no precision; inf where the model is not
+    positive everywhere or the misfit is not finite."""
+    x = (decay_rate(t60s[:, None], fs) ** 2) ** n
+    dx = x - x.mean(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = dx @ (y - y.mean()) / np.sum(dx**2, axis=1)
+        model = alpha[:, None] * dx + y.mean()
+        misfit = np.sum((10.0 * np.log10(model) - ydb) ** 2, axis=1)
+    bad = np.any(model <= 0, axis=1) | ~np.isfinite(misfit)
+    return np.where(bad, np.inf, misfit)
+
+
 def _truncated_decay_fit_t60(fraction, db, fs, start, end):
     """Fit tail energies to alpha * rho^n + beta; robust to truncation.
 
     The additive beta absorbs the energy the truncated RIR never
     captured, so the fitted rho reflects the true decay even when the
     curve stops well short of -25 dB.  Coarse geometric grid over T60
-    candidates, then golden-section refinement.
+    candidates, then 200 evenly spaced ones between the best's neighbours.
     """
     if db[end] > -10.0:
         raise ValueError(
@@ -170,37 +187,13 @@ def _truncated_decay_fit_t60(fraction, db, fs, start, end):
     n = np.arange(start, end + 1).astype(np.float64)
     y = fraction[start : end + 1]
     ydb = db[start : end + 1]
-    ones = np.ones_like(n)
-
-    def residual(t60):
-        rho = decay_rate(t60, fs) ** 2
-        basis = np.stack([rho**n, ones], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        model = basis @ coef
-        if np.any(model <= 0):
-            return np.inf
-        return float(np.sum((10.0 * np.log10(model) - ydb) ** 2))
-
     grid = np.geomspace(FIT_T60_MIN, FIT_T60_MAX, 200)
-    scores = [residual(t) for t in grid]
-    i = int(np.argmin(scores))
+    i = int(np.argmin(_decay_misfits(grid, n, y, ydb, fs)))
     if i == len(grid) - 1:
         raise ValueError(f"decay too slow to measure: best fit at the "
                          f"{FIT_T60_MAX} s search ceiling")
-    a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    rc, rd = residual(c), residual(d)
-    for _ in range(40):
-        if rc < rd:
-            b, d, rd = d, c, rc
-            c = b - phi * (b - a)
-            rc = residual(c)
-        else:
-            a, c, rc = c, d, rd
-            d = a + phi * (b - a)
-            rd = residual(d)
-    return 0.5 * (a + b)
+    fine = np.linspace(grid[max(0, i - 1)], grid[i + 1], 200)
+    return float(fine[np.argmin(_decay_misfits(fine, n, y, ydb, fs))])
 
 
 def t60_error_stats(estimates, truths):

@@ -256,7 +256,13 @@ def _one_line_error(capsys):
                                      '{"apply": {"las_source": 3}}',
                                      '{"simulate": {"seed": "5"}}',
                                      '{"simulate": {"out": 5}}',
-                                     '{"gradcheck": {"module": 3}}'])
+                                     '{"gradcheck": {"module": 3}}',
+                                     '{"simulate": {"utt": 4}}',
+                                     '{"stpes": 3}',
+                                     '{"seed": 1, "simulate": {"utts": 2}}',
+                                     '{"config": "other.json"}',
+                                     '{"train-gti": {"manifest": "m.json"}}',
+                                     '{"apply": {"out_wav": "w.wav"}}'])
 def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -271,7 +277,8 @@ def test_bad_config_file_is_runtime_error(dataset, tmp_path, capsys, content):
     rc = run(["--out", str(tmp_path), "--config", str(cfg), command, *commands[command]])
     assert rc == 1
     err = _one_line_error(capsys)
-    for key in ("steps", "lr", "rooms", "rir", "las_source", "seed", "out", "module"):
+    for key in ("steps", "lr", "rooms", "rir", "las_source", "seed", "out", "module",
+                "utt", "stpes", "config", "manifest", "out_wav"):
         if f'"{key}"' in (content or ""):
             assert repr(key) in err
 

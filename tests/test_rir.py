@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from reverbkit.convolve import convolve_fft
-from reverbkit.rir import (GtiRir, Rir, RoomSpec, assemble, decay_rate, edc,
+from reverbkit.rir import (FIT_T60_MAX, FIT_T60_MIN, GtiRir, Rir, RoomSpec,
+                           _decay, _decay_misfits, assemble, decay_rate, edc,
                            estimate_t60, synth_rir, t60_error_stats)
 
 
@@ -135,11 +136,28 @@ def test_estimate_t60_synth_self_consistency():
     assert abs(estimate_t60(r) - 0.15) <= 0.1 * 0.15
 
 
+def _truncated_rir():
+    # only ~13 dB of envelope decay: the [-5,-25] window is unreachable
+    return synth_rir(RoomSpec("r", 0.15, 2.0, 1, 12), 256, 8000, min_decay_db=0)
+
+
+def _flat_noise_rir():
+    rng = np.random.default_rng(0)
+    return np.concatenate(([1.0], rng.standard_normal(255) / np.sqrt(255)))
+
+
+def _fit_window(h):
+    """The decay-fit inputs estimate_t60 passes for coefficients h."""
+    fraction, db = _decay(h)
+    start = int(np.argmax(db <= -5.0))
+    end = max(start + 2, int(0.9 * (len(db) - 1)))
+    n = np.arange(start, end + 1).astype(np.float64)
+    return n, fraction[start : end + 1], db[start : end + 1]
+
+
 def test_estimate_t60_truncated_rir_fallback():
-    # only ~13 dB of envelope decay: the [-5,-25] window is unreachable,
     # the decay-model fallback still lands near the target
-    r = synth_rir(RoomSpec("r", 0.15, 2.0, 1, 12), 256, 8000, min_decay_db=0)
-    assert abs(estimate_t60(r) - 0.15) <= 0.2 * 0.15
+    assert abs(estimate_t60(_truncated_rir()) - 0.15) <= 0.2 * 0.15
 
 
 def test_estimate_t60_no_decay_raises():
@@ -151,10 +169,38 @@ def test_estimate_t60_no_decay_raises():
 def test_estimate_t60_flat_tail_raises_at_search_ceiling():
     # noise with a flat envelope: the decay fit's best candidate is the
     # largest T60 it searches, which is not a measurement
-    rng = np.random.default_rng(0)
-    h = np.concatenate(([1.0], rng.standard_normal(255) / np.sqrt(255)))
     with pytest.raises(ValueError, match="ceiling"):
-        estimate_t60(h, 8000)
+        estimate_t60(_flat_noise_rir(), 8000)
+
+
+@pytest.mark.parametrize("h", [_truncated_rir().coefficients, _flat_noise_rir()],
+                         ids=["truncated", "flat_noise"])
+def test_decay_misfits_match_lstsq(h):
+    n, y, ydb = _fit_window(h)
+    t60s = np.geomspace(FIT_T60_MIN, FIT_T60_MAX, 200)
+    oracle = []
+    for t60 in t60s:
+        basis = np.stack([(decay_rate(t60, 8000) ** 2) ** n, np.ones_like(n)], 1)
+        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+        model = basis @ coef
+        oracle.append(np.inf if np.any(model <= 0)
+                      else np.sum((10.0 * np.log10(model) - ydb) ** 2))
+    oracle = np.array(oracle)
+    got = _decay_misfits(t60s, n, y, ydb, 8000)
+    assert np.array_equal(np.isinf(got), np.isinf(oracle))
+    finite = np.isfinite(oracle)
+    assert finite.any()
+    np.testing.assert_allclose(got[finite], oracle[finite], rtol=1e-9, atol=0)
+
+
+def test_truncated_fit_refines_to_the_misfit_minimum():
+    r = _truncated_rir()
+    t60 = estimate_t60(r)
+    n, y, ydb = _fit_window(r.coefficients)
+    best, lower, upper = _decay_misfits(np.array([t60, t60 * (1 - 1e-3),
+                                                  t60 * (1 + 1e-3)]),
+                                        n, y, ydb, 8000)
+    assert best <= lower and best <= upper
 
 
 def test_t60_error_stats_zero():
