@@ -37,10 +37,21 @@ class UtvEstimatorParams:
     out_b: np.ndarray
 
     def __post_init__(self):
-        if self.conv_w.shape[2] % 2 == 0:
+        for name, rank in (("W_z", 2), ("conv_w", 3), ("out_w", 2)):
+            if np.ndim(getattr(self, name)) != rank:
+                raise ValueError(f"estimator parameter group {name} must have {rank} axes")
+        (hd, i), (ch, _, kw), (tail, _) = self.W_z.shape, self.conv_w.shape, self.out_w.shape
+        if kw % 2 == 0:
             raise ValueError("conv kernel width must be odd")
+        want = {f"{k}_{gate}": s for gate in "zgc"
+                for k, s in (("W", (hd, i)), ("U", (hd, hd)), ("b", (hd,)))}
+        want.update(conv_w=(ch, hd, kw), conv_b=(ch,), out_w=(tail, ch), out_b=(tail,))
         for f in fields(self):
-            if not np.all(np.isfinite(getattr(self, f.name))):
+            arr = getattr(self, f.name)
+            if np.shape(arr) != want[f.name]:
+                raise ValueError(f"estimator parameter group {f.name} has shape "
+                                 f"{np.shape(arr)}, expected {want[f.name]}")
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in parameter {f.name}")
 
     @property
@@ -117,8 +128,6 @@ def gru_forward(params, x):
     g = np.empty((n, b, hd))
     c = np.empty((n, b, hd))
     u = np.empty((n, b, hd))
-    # Three U products, not one stacked: at B = 1 each is the same BLAS
-    # call as a single sequence's U @ h, so a batch of one keeps its bits.
     uz, ug, uc = params.U_z.T, params.U_g.T, params.U_c.T
     for t in range(n):
         hp = h[t]
@@ -138,35 +147,23 @@ def gru_backward(params, cache, grad_h_seq):
     n, b, i = x.shape
     hd = params.hidden_dim
     gh = np.asarray(grad_h_seq, dtype=np.float64).reshape(b, n, hd).transpose(1, 0, 2)
-    # Gate gradients stacked z, g, c: columns [0, hd), [hd, 2hd), [2hd, 3hd).
-    d_pre = np.empty((n, b, 3 * hd))  # per frame: daz, dag, dac
-    d_rec = np.empty((b, 3 * hd))  # daz, dag, du (what reaches U_z, U_g, U_c)
-    g_w = np.zeros((3 * hd, i))
-    g_u = np.zeros((3 * hd, hd))
-    g_b = np.zeros(3 * hd)
+    # Each frame's gate factors, all frames at once: dh_t times them gives
+    # daz, dag, du (what reaches U_z, U_g, U_c) and dac.
+    dc = (1.0 - z) * (1.0 - c**2)
+    fac = np.stack([(h[:-1] - c) * z * (1.0 - z), dc * u * g * (1.0 - g), dc * g, dc], axis=2)
+    d = np.empty_like(fac)  # [n, b, 4, hd]
+    u_stack = np.concatenate([params.U_z, params.U_g, params.U_c])
     dh = np.zeros((b, hd))
     for t in range(n - 1, -1, -1):
         dh = dh + gh[t]
-        hp = h[t]
-        dz = dh * (hp - c[t])
-        daz = dz * z[t] * (1.0 - z[t])
-        dc = dh * (1.0 - z[t])
-        dac = dc * (1.0 - c[t] ** 2)
-        dg = dac * u[t]
-        dag = dg * g[t] * (1.0 - g[t])
-        du = dac * g[t]
-        d = d_pre[t]
-        d[:, :hd], d[:, hd : 2 * hd], d[:, 2 * hd :] = daz, dag, dac
-        d_rec[:, : 2 * hd], d_rec[:, 2 * hd :] = d[:, : 2 * hd], du
-        # np.dot, not @: at B = 1, matmul runs numpy's own loop for this
-        # [3h, 1] x [1, input] outer product, which is twice as slow.
-        g_w += np.dot(d.T, x[t])
-        g_u += np.dot(d_rec.T, hp)
-        g_b += d.sum(axis=0)
-        dh = dh * z[t] + daz @ params.U_z + dag @ params.U_g + du @ params.U_c
-    d_pre = d_pre.reshape(n * b, 3 * hd)
-    gx = (d_pre[:, :hd] @ params.W_z + d_pre[:, hd : 2 * hd] @ params.W_g
-          + d_pre[:, 2 * hd :] @ params.W_c)
+        np.multiply(dh[:, None], fac[t], out=d[t])
+        dh = dh * z[t] + d[t, :, :3].reshape(b, 3 * hd) @ u_stack
+    d = d.reshape(n * b, 4, hd)
+    d_in = d[:, [0, 1, 3]].reshape(n * b, 3 * hd)  # daz, dag, dac
+    g_w = d_in.T @ x.reshape(n * b, i)
+    g_u = d[:, :3].reshape(n * b, 3 * hd).T @ h[:-1].reshape(n * b, hd)
+    g_b = d_in.sum(axis=0)
+    gx = d_in @ np.concatenate([params.W_z, params.W_g, params.W_c])
     gx = gx.reshape(n, b, i).transpose(1, 0, 2).reshape(cache["lead"] + (n, i))
     gp = {}
     for k, gate in enumerate("zgc"):
@@ -182,10 +179,10 @@ def conv1d_forward(params, h_seq):
     pad = (kw - 1) // 2
     lead, (n, hd) = h_seq.shape[:-2], h_seq.shape[-2:]
     padded = np.pad(h_seq.reshape(-1, n, hd), ((0, 0), (pad, pad), (0, 0)))
-    # windows[b*n + t, j, k] = padded[b, t + k, j]
-    windows = np.stack([padded[:, k : k + n] for k in range(kw)], axis=3)
-    windows = windows.reshape(-1, hd, kw)
-    pre = np.einsum("njk,ojk->no", windows, params.conv_w) + params.conv_b
+    # windows[b*n + t, j*kw + k] = padded[b, t + k, j]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=1)
+    windows = windows.reshape(-1, hd * kw)
+    pre = windows @ params.conv_w.reshape(len(params.conv_w), -1).T + params.conv_b
     act = np.tanh(pre).reshape(lead + (n, -1))
     return act, {"windows": windows, "act": act, "pad": pad, "n": n}
 
@@ -194,12 +191,12 @@ def conv1d_backward(params, cache, grad_act):
     """Returns (weight grad, bias grad) summed over the batch, and the grad
     w.r.t. the conv input."""
     windows, act, pad, n = cache["windows"], cache["act"], cache["pad"], cache["n"]
-    _, hd, kw = windows.shape
+    _, hd, kw = params.conv_w.shape
     dpre = (grad_act * (1.0 - act**2)).reshape(-1, act.shape[-1])
-    g_w = np.einsum("no,njk->ojk", dpre, windows)
+    g_w = (dpre.T @ windows).reshape(params.conv_w.shape)
     g_b = dpre.sum(axis=0)
     # scatter back through the padded windows
-    contrib = np.einsum("no,ojk->njk", dpre, params.conv_w).reshape(-1, n, hd, kw)
+    contrib = (dpre @ params.conv_w.reshape(len(params.conv_w), -1)).reshape(-1, n, hd, kw)
     dpadded = np.zeros((contrib.shape[0], n + 2 * pad, hd))
     for k in range(kw):
         dpadded[:, k : k + n] += contrib[..., k]

@@ -88,6 +88,7 @@ def test_criterion_3_gti_exact_recovery(single_room_setup):
     assert rel <= 1e-3
 
 
+@pytest.mark.slow
 def test_criterion_4_gti_mrsd(single_room_setup):
     _, rir, utts = single_room_setup
     probe = utts[:10]
@@ -122,6 +123,7 @@ def multi_room_setup():
     return utts[:160], utts[160:]
 
 
+@pytest.mark.slow
 def test_criterion_5_utv_beats_gti(multi_room_setup):
     train, held = multi_room_setup
     rir_len = 1024
@@ -166,6 +168,7 @@ def mt_setup():
     return make_utterances([room], {"mt": rir}, 40, 1.0, 999)
 
 
+@pytest.mark.slow
 def test_criterion_6_multitask_effect(mt_setup):
     utts = mt_setup
     cfg = default_stft_config(FS)

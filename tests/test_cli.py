@@ -10,8 +10,9 @@ import pytest
 
 import reverbkit
 from reverbkit.cli import _build_parser, run
-from reverbkit.dsp import Waveform
-from reverbkit.fileio import read_rir, read_wav, write_rir, write_wav
+from reverbkit.dsp import Waveform, default_stft_config
+from reverbkit.estimator import UtvEstimatorParams
+from reverbkit.fileio import read_rir, read_wav, save_checkpoint, write_rir, write_wav
 from reverbkit.rir import Rir
 
 
@@ -429,6 +430,20 @@ def test_apply_with_gti_ckpt_is_runtime_error(dataset, gti_ckpt, tmp_path, capsy
               "--las-source", str(wav), "--out-wav", str(tmp_path / "o.wav")])
     assert rc == 1
     assert "utv.W_z" in _one_line_error(capsys)
+
+
+def test_apply_with_mis_shaped_utv_ckpt_is_runtime_error(dataset, tmp_path, capsys):
+    est = UtvEstimatorParams.init(default_stft_config(8000).n_bins, 4, 4, 3, 31)
+    groups = est.as_dict("utv.")
+    groups["utv.out_b"] = np.array([0.5])
+    save_checkpoint(tmp_path / "bad.ckpt", groups)
+    capsys.readouterr()
+    wav = dataset / "utt0000_rev.wav"
+    rc = run(["apply", "--dry", str(wav), "--ckpt", str(tmp_path / "bad.ckpt"),
+              "--las-source", str(wav), "--out-wav", str(tmp_path / "o.wav")])
+    assert rc == 1
+    assert "out_b" in _one_line_error(capsys)
+    assert not (tmp_path / "o.wav").exists()
 
 
 @pytest.mark.parametrize("command,result_key", [("train-gti", "rir"),

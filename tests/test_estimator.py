@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from reverbkit.checks import check_utv
-from reverbkit.estimator import (UtvEstimatorParams, conv1d_forward,
+from reverbkit.estimator import (UtvEstimatorParams, conv1d_backward, conv1d_forward,
                                  estimator_backward, estimator_forward,
                                  gru_backward, gru_forward, temporal_avg_pool,
                                  temporal_avg_pool_grad)
@@ -169,6 +171,17 @@ def test_kernel_must_be_odd():
                                 kernel=4, tail_len=3)
 
 
+@pytest.mark.parametrize("name,value",
+                         [(f.name, None) for f in fields(UtvEstimatorParams)]
+                         + [pytest.param("out_b", [0.5], id="out_b-[0.5]"),
+                            pytest.param("b_z", [0.1], id="b_z-[0.1]")])
+def test_mis_shaped_group_is_rejected(name, value):
+    d = UtvEstimatorParams.init(257, 32, 32, 11, 255).as_dict()
+    d[name] = d[name][None] if value is None else np.array(value)
+    with pytest.raises(ValueError, match=f"group {name} "):
+        UtvEstimatorParams.from_dict(d)
+
+
 def test_init_near_identity():
     p = UtvEstimatorParams.init(input_dim=257, hidden_dim=32, channels=32,
                                 kernel=11, tail_len=255, seed=0)
@@ -209,3 +222,55 @@ def test_batch_of_one_is_bit_equal_to_the_2d_call():
     assert gx1[0].tobytes() == gx.tobytes()
     for k, arr in grads.as_dict().items():
         assert grads1.as_dict()[k].tobytes() == arr.tobytes(), k
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# The workload's shape: batch 4 x 80 frames, 257 bins, hidden 32, 32 channels,
+# kernel 11.
+def test_conv_layer_matches_per_tap_loop_at_workload_shape():
+    p = UtvEstimatorParams.init(257, 32, 32, 11, 255, seed=15)
+    rng = np.random.default_rng(16)
+    h, grad_act = rng.standard_normal((2, 4, 80, 32))
+    act, cache = conv1d_forward(p, h)
+    g_w, g_b, g_h = conv1d_backward(p, cache, grad_act)
+    padded = np.pad(h, ((0, 0), (5, 5), (0, 0)))
+    pre = sum(padded[:, k : k + 80] @ p.conv_w[:, :, k].T for k in range(11))
+    want_act = np.tanh(pre + p.conv_b)
+    dpre = grad_act * (1.0 - want_act**2)
+    want_w = np.zeros_like(p.conv_w)
+    dpadded = np.zeros_like(padded)
+    for k in range(11):
+        want_w[:, :, k] = dpre.reshape(-1, 32).T @ padded[:, k : k + 80].reshape(-1, 32)
+        dpadded[:, k : k + 80] += dpre @ p.conv_w[:, :, k]
+    assert _close(act, want_act)
+    assert _close(g_w, want_w)
+    assert _close(g_b, dpre.sum(axis=(0, 1)))
+    assert _close(g_h, dpadded[:, 5:85])
+
+
+def test_gru_weight_gradients_match_per_frame_accumulation_at_workload_shape():
+    p = UtvEstimatorParams.init(257, 32, 32, 11, 255, seed=17)
+    rng = np.random.default_rng(18)
+    x, w = rng.standard_normal((4, 80, 257)), rng.standard_normal((4, 80, 32))
+    _, cache = gru_forward(p, x)
+    gp, _ = gru_backward(p, cache, w)
+    # the forward cache is frame-major: [frames (+1 for h), batch, width]
+    xf, h, z, g, c, u = (cache[k] for k in ("x", "h", "z", "g", "c", "u"))
+    want = {k: np.zeros_like(v) for k, v in gp.items()}
+    dh = np.zeros((4, 32))
+    for t in range(79, -1, -1):
+        dh = dh + w[:, t]
+        daz = dh * (h[t] - c[t]) * z[t] * (1.0 - z[t])
+        dac = dh * (1.0 - z[t]) * (1.0 - c[t] ** 2)
+        dag = dac * u[t] * g[t] * (1.0 - g[t])
+        du = dac * g[t]
+        for gate, da, dr in (("z", daz, daz), ("g", dag, dag), ("c", dac, du)):
+            want[f"W_{gate}"] += da.T @ xf[t]
+            want[f"U_{gate}"] += dr.T @ h[t]
+            want[f"b_{gate}"] += da.sum(axis=0)
+        dh = dh * z[t] + daz @ p.U_z + dag @ p.U_g + du @ p.U_c
+    for k, arr in gp.items():
+        assert _close(arr, want[k]), k
