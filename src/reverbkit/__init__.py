@@ -25,8 +25,7 @@ from .estimator import (UtvEstimatorParams, estimator_backward,
                         estimator_forward, gru_forward, temporal_avg_pool)
 from .fileio import (FormatError, load_checkpoint, read_rir, read_wav,
                      save_checkpoint, write_rir, write_wav)
-from .losses import (MrsdConfig, mrsd_loss, secondary_dry_loss,
-                     waveform_mse_loss)
+from .losses import mrsd_loss, secondary_dry_loss, waveform_mse_loss
 from .optim import AdamState, adam_step, grad_check
 from .rir import (Rir, RoomSpec, assemble, edc, estimate_t60, synth_rir,
                   t60_error_stats)

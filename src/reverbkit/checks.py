@@ -10,16 +10,13 @@ import numpy as np
 from .convolve import convolve_fft, convolve_grad
 from .dsp import StftConfig, Waveform
 from .estimator import UtvEstimatorParams, estimator_backward, estimator_forward
-from .losses import MrsdConfig, mrsd_loss, secondary_dry_loss
+from .losses import mrsd_loss, secondary_dry_loss
 from .optim import grad_check
 from .rir import assemble
 from .vocoder import ToyVocoderParams, vocoder_backward, vocoder_forward
 
 TINY_STFT = StftConfig(fft_size=64, frame_length=48, frame_shift=16)
-TINY_MRSD = MrsdConfig((
-    TINY_STFT,
-    StftConfig(fft_size=32, frame_length=24, frame_shift=8),
-))
+TINY_MRSD = (TINY_STFT, StftConfig(fft_size=32, frame_length=24, frame_shift=8))
 
 
 def check_gti(eps=1e-5, tolerance=1e-5):

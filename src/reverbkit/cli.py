@@ -112,9 +112,11 @@ def _cmd_simulate(cfg):
 
 
 def _hyper(cfg):
-    return TrainHyper(lr=cfg["lr"], loss=cfg["loss"],
-                      batch_size=cfg.get("batch", 4),
-                      secondary_weight=cfg.get("secondary_weight", 1.0))
+    """TrainHyper from the keys the command declares (batch is batch_size);
+    TrainHyper's own defaults fill in the rest."""
+    keys = {"lr": "lr", "loss": "loss", "batch": "batch_size",
+            "secondary_weight": "secondary_weight"}
+    return TrainHyper(**{f: cfg[k] for k, f in keys.items() if k in cfg})
 
 
 def _train_common(cfg):

@@ -1,4 +1,4 @@
-"""Spectral primitives: FFT, real-input FFT, STFT and log amplitude spectra.
+"""Spectral primitives: FFT, real-input FFT, STFT and its adjoint, log amplitude spectra.
 
 Everything here is a pure function of its inputs and runs in double
 precision.  The FFT is an in-house vectorized radix-2 implementation so
@@ -246,6 +246,43 @@ def stft(samples, cfg):
     """
     frames = frame_signal(samples, cfg) * _window(cfg)
     return rfft(frames, cfg.fft_size)
+
+
+def stft_adjoint(gspec, cfg, n_samples):
+    """The adjoint of `stft`: a complex spectrum gradient back to the samples.
+
+    gspec holds dL/dRe + i*dL/dIm for bins 0..fft_size/2 of each frame.
+    For a real input frame x, dL/dx = N * Re(ifft(g_full)) with g_full
+    zero above n/2; that is N * irfft of gspec with its interior bins
+    halved (their Hermitian mirrors carry the other half) and only the
+    real parts of bins 0 and n/2, which irfft keeps.
+    """
+    half = gspec * (cfg.fft_size / 2)
+    half[:, 0] *= 2
+    half[:, -1] *= 2
+    gframes = irfft(half, cfg.fft_size)[:, : cfg.frame_length] * _window(cfg)
+    return _overlap_add(gframes, cfg.frame_shift, n_samples)
+
+
+def _overlap_add(frames, shift, n_samples):
+    """Sum frames [n_frames, frame_length] placed every shift samples.
+
+    Works in blocks of shift samples: block b gets piece j of frame
+    b - j, added in increasing frame order as a per-frame loop would
+    (the zero padding up to a whole number of blocks adds nothing).
+    """
+    n_frames, length = frames.shape
+    k = -(-length // shift)
+    pieces = np.zeros((n_frames, k * shift))
+    pieces[:, :length] = frames
+    pieces = pieces.reshape(n_frames, k, shift)
+    blocks = np.zeros((n_frames + k - 1, shift))
+    for j in reversed(range(k)):
+        blocks[j : j + n_frames] += pieces[:, j]
+    out = np.zeros(n_samples)
+    m = min(n_samples, blocks.size)
+    out[:m] = blocks.reshape(-1)[:m]
+    return out
 
 
 def log_amplitude(spec):

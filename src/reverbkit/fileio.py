@@ -41,8 +41,6 @@ def write_wav(path, w, bit_depth=16):
     if fmt_tag == 3:
         chunks += b"fact" + struct.pack("<II", 4, len(samples))
     chunks += b"data" + struct.pack("<I", len(data)) + data
-    if len(data) % 2:
-        chunks += b"\x00"
     with open(path, "wb") as f:
         f.write(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 

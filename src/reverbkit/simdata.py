@@ -239,13 +239,25 @@ def load_manifest(path):
 
 
 def load_utterances(manifest, splits=("train",)):
-    """Materialize Utterance objects for the requested splits."""
+    """Materialize Utterance objects for the requested splits.
+
+    An entry whose dry and reverberant WAVs differ in length, or either of
+    which is not at the manifest's sample rate, is a ValueError naming it.
+    """
     utts = []
     for e in manifest.entries:
         if e["split"] not in splits:
             continue
         dry = read_wav(manifest.root / e["dry_path"])
         reverb = read_wav(manifest.root / e["reverb_path"])
+        for side, w in (("dry", dry), ("reverberant", reverb)):
+            if w.sample_rate != manifest.sample_rate:
+                raise ValueError(f"utterance {e['utt_id']}: {side} WAV is at "
+                                 f"{w.sample_rate} Hz, the manifest at "
+                                 f"{manifest.sample_rate} Hz")
+        if len(dry) != len(reverb):
+            raise ValueError(f"utterance {e['utt_id']}: dry WAV has {len(dry)} "
+                             f"samples, reverberant WAV {len(reverb)}")
         f0_path = manifest.root / e["f0_path"]
         d = check_fields(read_json(f0_path), F0_FIELDS, f0_path)
         f0 = F0Track(d["f0"], d["vuv"], d["frame_shift"], d["sample_rate"])

@@ -33,7 +33,7 @@ class TrainHyper:
     beta2: float = 0.999
     batch_size: int = 4
     loss: str = "mrsd"  # or "wave"
-    mrsd: object = DESK_MRSD
+    mrsd: tuple = DESK_MRSD  # StftConfig resolutions
     secondary_weight: float = 1.0
     harmonics: int = 8
     source_amp: float = 0.3

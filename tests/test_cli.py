@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 import reverbkit
-from reverbkit.cli import _build_parser, run
+from reverbkit import cli
+from reverbkit.cli import DEFAULTS, _build_parser, _hyper, run
 from reverbkit.dsp import Waveform, default_stft_config
 from reverbkit.estimator import UtvEstimatorParams
 from reverbkit.fileio import read_rir, read_wav, save_checkpoint, write_rir, write_wav
 from reverbkit.rir import Rir
+from reverbkit.training import TrainHyper
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +355,25 @@ def test_json_top_level_list_is_runtime_error(tmp_path, capsys):
     assert "JSON object" in err and str(tmp_path / "f0.json") in err
 
 
+def test_mismatched_wav_lengths_fail_before_training(tmp_path, capsys):
+    # one reverberant file 10 samples short: each training command names
+    # the utterance and stops before its first step
+    data = tmp_path / "data"
+    assert run(["--out", str(data), "simulate", "--utts", "20",
+                "--duration", "0.5"]) == 0
+    rev = read_wav(data / "utt0003_rev.wav")
+    write_wav(data / "utt0003_rev.wav", Waveform(rev.samples[:-10], rev.sample_rate),
+              bit_depth=32)
+    capsys.readouterr()
+    for command in ("train-gti", "train-utv", "train-mt"):
+        out = tmp_path / command
+        rc = run(["--out", str(out), command, "--manifest", str(data / "manifest.json"),
+                  "--steps", "1"])
+        assert rc == 1
+        assert "utterance utt0003: " in _one_line_error(capsys)
+        assert not out.exists()
+
+
 def test_manifest_entry_missing_key_names_entry(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"rooms": [], "entries": [{"utt_id": "x"}],
@@ -360,6 +382,23 @@ def test_manifest_entry_missing_key_names_entry(tmp_path, capsys):
     assert rc == 1
     err = _one_line_error(capsys)
     assert "entry 0" in err and "'split'" in err
+
+
+def test_hyper_leaves_undeclared_keys_to_train_hyper(monkeypatch):
+    # a command passes the keys it declares (batch as batch_size); every
+    # other field keeps TrainHyper's own default, written nowhere else
+    @dataclasses.dataclass
+    class Hyper(TrainHyper):
+        batch_size: int = 7
+        secondary_weight: float = 0.25
+
+    monkeypatch.setattr(cli, "TrainHyper", Hyper)
+    cfg = {command: {**DEFAULTS["reverbkit"], **DEFAULTS[command], "lr": 0.5}
+           for command in ("train-gti", "train-utv", "train-mt")}
+    assert _hyper(cfg["train-gti"]) == Hyper(lr=0.5, batch_size=4)
+    assert _hyper(cfg["train-utv"]) == Hyper(lr=0.5)
+    assert _hyper({**cfg["train-mt"], "secondary_weight": 2.0}) == Hyper(
+        lr=0.5, secondary_weight=2.0)
 
 
 def test_subcommand_options_are_pinned():

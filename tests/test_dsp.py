@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from reverbkit.dsp import (AMPLITUDE_FLOOR, StftConfig, Waveform, _window, fft,
-                           frame_signal, irfft, log_amplitude, rfft, stft)
+from reverbkit.dsp import (AMPLITUDE_FLOOR, DESK_STFT_8K, StftConfig, Waveform,
+                           _window, fft, frame_signal, irfft, log_amplitude, rfft,
+                           stft, stft_adjoint)
+from reverbkit.losses import DESK_MRSD
 
 
 def test_fft_delta_is_constant():
@@ -143,6 +145,23 @@ def test_stft_is_half_of_complex_fft_of_windowed_frames():
     want = fft(frame_signal(x, cfg) * _window(cfg), cfg.fft_size)[:, : cfg.n_bins]
     assert spec.shape == (cfg.n_frames(1000), cfg.n_bins)
     assert np.max(np.abs(spec - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cfg", [*DESK_MRSD, DESK_STFT_8K],
+                         ids=lambda c: f"{c.fft_size}-{c.frame_length}-{c.frame_shift}")
+def test_stft_adjoint_identity(cfg):
+    # <G, stft(x)> = <stft_adjoint(G), x> in the real inner product; at
+    # DESK_STFT_8K the 400-sample frame is not a whole number of 96-sample
+    # shifts, and the signal's last samples belong to no frame
+    n = 4001
+    assert (n - cfg.frame_length) % cfg.frame_shift != 0
+    rng = np.random.default_rng(cfg.fft_size + cfg.frame_shift)
+    x = rng.standard_normal(n)
+    X = stft(x, cfg)
+    G = rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
+    lhs = np.sum(G.real * X.real + G.imag * X.imag)
+    rhs = x @ stft_adjoint(G, cfg, n)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_stft_frame_count():

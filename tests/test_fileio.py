@@ -57,8 +57,8 @@ def test_wav_clipping(tmp_path):
     assert np.array_equal(read_wav(p).samples, [-1.0, 0.0, 1.0])
 
 
-def test_wav_odd_data_length_padded(tmp_path):
-    # PCM16 with odd sample count: data chunk is even-padded per RIFF
+def test_wav_odd_sample_count_round_trips(tmp_path):
+    # PCM16 with an odd sample count: 2 bytes a sample keep every chunk even
     w = Waveform(np.zeros(3), 8000)
     p = tmp_path / "a.wav"
     write_wav(p, w, bit_depth=16)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from reverbkit.convolve import convolve_fft
+from reverbkit.dsp import Waveform
+from reverbkit.fileio import read_wav, write_wav
 from reverbkit.rir import RoomSpec, estimate_t60
 from reverbkit.simdata import (DESK_SEEN_ROOMS, DESK_UNSEEN_ROOMS,
                                build_dataset, gen_f0_track, load_manifest,
@@ -119,6 +121,24 @@ def test_load_utterances_filters_split(tmp_path):
     assert all(u.split == "test_unseen" for u in unseen)
     assert all(u.room_id == "ru" for u in unseen)
     assert len(unseen) > 0
+
+
+@pytest.mark.parametrize("side,cut,rate,message", [
+    ("reverb_path", 10, FS, "dry WAV has {n} samples, reverberant WAV {cut}"),
+    ("dry_path", 10, FS, "dry WAV has {cut} samples, reverberant WAV {n}"),
+    ("reverb_path", 0, 16000, "reverberant WAV is at 16000 Hz"),
+    ("dry_path", 0, 16000, "dry WAV is at 16000 Hz"),
+])
+def test_load_utterances_rejects_mismatched_wavs(tmp_path, side, cut, rate, message):
+    m = small_dataset(tmp_path)
+    e = m.entries[3]
+    path = m.root / e[side]
+    samples = read_wav(path).samples
+    n = len(samples)
+    write_wav(path, Waveform(samples[: n - cut], rate), bit_depth=32)
+    with pytest.raises(ValueError, match=message.format(n=n, cut=n - cut)) as err:
+        load_utterances(m)
+    assert str(err.value).startswith(f"utterance {e['utt_id']}: ")
 
 
 def test_room_rirs_t60_self_consistent(tmp_path):

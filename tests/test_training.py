@@ -11,7 +11,7 @@ from reverbkit.dsp import StftConfig
 from reverbkit.estimator import (UtvEstimatorParams, estimator_backward,
                                  estimator_forward)
 from reverbkit.fileio import load_checkpoint, save_checkpoint
-from reverbkit.losses import MrsdConfig, mrsd_loss, waveform_mse_loss
+from reverbkit.losses import mrsd_loss, waveform_mse_loss
 from reverbkit.optim import AdamState, grad_check
 from reverbkit.rir import GtiRir, Rir, RoomSpec, assemble, synth_rir
 from reverbkit.simdata import Utterance, synth_dry
@@ -21,10 +21,10 @@ from reverbkit.training import (TrainHyper, TrainReport, _batch_indices,
 from reverbkit.vocoder import ToyVocoderParams
 
 FS = 8000
-TINY_MRSD = MrsdConfig((
+TINY_MRSD = (
     StftConfig(fft_size=64, frame_length=48, frame_shift=16),
     StftConfig(fft_size=32, frame_length=24, frame_shift=8),
-))
+)
 
 
 def tiny_dataset(n=6, duration=0.5, t60=0.15, rir_len=64, seed=500):
